@@ -104,16 +104,18 @@ fuzz:
 	$(GO) test -fuzz=FuzzManifestDecode -fuzztime=10s ./internal/durable/
 	$(GO) test -fuzz=FuzzFrameIndexDecode -fuzztime=10s ./internal/durable/
 	$(GO) test -fuzz=FuzzFsckReportDecode -fuzztime=10s ./internal/fsck/
+	$(GO) test -fuzz=FuzzIndexSnapshotDecode -fuzztime=10s ./internal/analysis/
 
 # The incremental-analysis equivalence suite: fold-vs-build parity at
 # every prefix, snapshot round trip + corruption degradation, the
-# crash/resume index-snapshot matrix, live-vs-merged shard property, and
-# the public-API live report byte-identity (see DESIGN.md "Incremental
-# analysis").
+# crash/resume index-snapshot matrix, live-vs-merged shard property, the
+# .idx segment log's linear writes and history-independent final bytes,
+# and the public-API live report byte-identity (see DESIGN.md
+# "Incremental analysis").
 live:
-	$(GO) test -run 'TestIncrementalIndexParity|TestLiveIndexMergeProperty|TestLiveSnapshotRoundTrip|TestLiveSnapshotCorruptionDegrades|TestLiveSinkResumeAcrossCheckpoint' -count=1 ./internal/analysis/
+	$(GO) test -run 'TestIncrementalIndexParity|TestLiveIndexMergeProperty|TestLiveSnapshotRoundTrip|TestLiveSnapshotCorruptionDegrades|TestLiveSinkResumeAcrossCheckpoint|TestLiveSnapshotHistoryIndependence|TestLiveSnapshotWritesStayLinear' -count=1 ./internal/analysis/
 	$(GO) test -run 'TestCrashResumeIndexSnapshot|TestLiveReportReadsOnlyTail' -count=1 ./internal/crawler/
-	$(GO) test -run 'TestFrameIndex' -count=1 ./internal/durable/
+	$(GO) test -run 'TestFrameIndex|TestScanFramesMatchesScanRecords' -count=1 ./internal/durable/
 	$(GO) test -run 'TestLiveReportMatchesPostHoc' -count=1 .
 
 # Regenerate the committed end-to-end pipeline fixture

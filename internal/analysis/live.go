@@ -182,8 +182,9 @@ func cloneSiteSets(src map[string]siteSet) map[string]siteSet {
 	return out
 }
 
-// LiveSnapshotVersion is the `<journal>.idx` schema version.
-const LiveSnapshotVersion = 1
+// LiveSnapshotVersion is the `<journal>.idx` schema version. Version 1
+// was a single unframed JSON document; readers treat it as absent.
+const LiveSnapshotVersion = 2
 
 // IndexSnapshotPath derives the serialized-index sidecar path for a
 // journal.
@@ -194,79 +195,84 @@ func RemoveIndexSnapshot(journalPath string) {
 	os.Remove(IndexSnapshotPath(journalPath))
 }
 
-// liveSnapshot is the serialized form of a LiveIndex, written beside the
-// journal at every checkpoint. Everything is a JSON map or counter —
-// encoding/json sorts map keys, so the bytes are deterministic for a
-// given accumulator state. The header ties the snapshot to one exact
-// committed journal state (records + payload CRC) and to the allow-list
-// the classification was folded against; any mismatch on load degrades
-// the reader to a full scan, mirroring the manifest's
+// liveSnapshot is one segment of the `<journal>.idx` log: the serialized
+// form of an indexShard, CRC-framed (durable.AppendFrame) so any damaged
+// byte is detected. The log opens with a full segment (Base 0: the whole
+// accumulator) and continues with delta segments, each holding only the
+// records (Base, Records] folded since its predecessor; restore merges
+// the chain with the commutative absorb. Everything is a JSON map or
+// counter — encoding/json sorts map keys, so the bytes are deterministic
+// for a given shard. The header ties each segment to one exact committed
+// journal state (records + payload CRC) and to the allow-list the
+// classification was folded against; any mismatch on load degrades the
+// reader to a full scan, mirroring the manifest's
 // accelerator-never-authority contract.
 type liveSnapshot struct {
 	Version      int    `json:"version"`
 	Journal      string `json:"journal"`
 	Records      int64  `json:"records"`
+	Base         int64  `json:"base,omitempty"`
 	PayloadCRC   uint32 `json:"payload_crc"`
 	AllowlistCRC uint32 `json:"allowlist_crc"`
 	Visits       int    `json:"visits"`
 
-	Called  map[dataset.Phase]map[string]siteSet `json:"called"`
-	Present map[dataset.Phase]map[string]siteSet `json:"present"`
-	Allowed map[string]bool                      `json:"allowed"`
+	Called  map[dataset.Phase]map[string]siteSet `json:"called,omitempty"`
+	Present map[dataset.Phase]map[string]siteSet `json:"present,omitempty"`
+	Allowed map[string]bool                      `json:"allowed,omitempty"`
 
-	Attempted     siteSet            `json:"attempted"`
-	Visited       siteSet            `json:"visited"`
-	Accepted      siteSet            `json:"accepted"`
-	ThirdParties  map[string]bool    `json:"third_parties"`
-	DAASites      siteSet            `json:"daa_sites"`
-	AALegitCalled map[string]siteSet `json:"aa_legit_called"`
-	Banners       int                `json:"banners"`
+	Attempted     siteSet            `json:"attempted,omitempty"`
+	Visited       siteSet            `json:"visited,omitempty"`
+	Accepted      siteSet            `json:"accepted,omitempty"`
+	ThirdParties  map[string]bool    `json:"third_parties,omitempty"`
+	DAASites      siteSet            `json:"daa_sites,omitempty"`
+	AALegitCalled map[string]siteSet `json:"aa_legit_called,omitempty"`
+	Banners       int                `json:"banners,omitempty"`
 
-	Retries       int              `json:"retries"`
-	CircuitOpens  int              `json:"circuit_opens"`
-	RelAttempted  int              `json:"rel_attempted"`
-	RelSucceeded  int              `json:"rel_succeeded"`
-	RelFailed     int              `json:"rel_failed"`
-	PartialVisits int              `json:"partial_visits"`
-	ByClass       map[string]int   `json:"by_class"`
-	Ranks         map[int]rankSnap `json:"ranks"`
-	MaxRank       int              `json:"max_rank"`
+	Retries       int              `json:"retries,omitempty"`
+	CircuitOpens  int              `json:"circuit_opens,omitempty"`
+	RelAttempted  int              `json:"rel_attempted,omitempty"`
+	RelSucceeded  int              `json:"rel_succeeded,omitempty"`
+	RelFailed     int              `json:"rel_failed,omitempty"`
+	PartialVisits int              `json:"partial_visits,omitempty"`
+	ByClass       map[string]int   `json:"by_class,omitempty"`
+	Ranks         map[int]rankSnap `json:"ranks,omitempty"`
+	MaxRank       int              `json:"max_rank,omitempty"`
 
-	AnomCalls int     `json:"anom_calls"`
-	SameSLD   int     `json:"same_sld"`
-	JSCalls   int     `json:"js_calls"`
-	AnomCPs   siteSet `json:"anom_cps"`
-	AnomSites siteSet `json:"anom_sites"`
-	GTMSites  siteSet `json:"gtm_sites"`
+	AnomCalls int     `json:"anom_calls,omitempty"`
+	SameSLD   int     `json:"same_sld,omitempty"`
+	JSCalls   int     `json:"js_calls,omitempty"`
+	AnomCPs   siteSet `json:"anom_cps,omitempty"`
+	AnomSites siteSet `json:"anom_sites,omitempty"`
+	GTMSites  siteSet `json:"gtm_sites,omitempty"`
 
-	F7Total    int           `json:"f7_total"`
-	F7Quest    int           `json:"f7_quest"`
-	SitesByCMP stats.Counter `json:"sites_by_cmp"`
-	QuestByCMP stats.Counter `json:"quest_by_cmp"`
+	F7Total    int           `json:"f7_total,omitempty"`
+	F7Quest    int           `json:"f7_quest,omitempty"`
+	SitesByCMP stats.Counter `json:"sites_by_cmp,omitempty"`
+	QuestByCMP stats.Counter `json:"quest_by_cmp,omitempty"`
 
-	ByPhase     map[dataset.Phase]map[dataset.CallType]int `json:"by_phase"`
-	LegitByType map[dataset.CallType]int                   `json:"legit_by_type"`
-	AnomByType  map[dataset.CallType]int                   `json:"anom_by_type"`
-	PerCP       map[string]map[dataset.CallType]int        `json:"per_cp"`
+	ByPhase     map[dataset.Phase]map[dataset.CallType]int `json:"by_phase,omitempty"`
+	LegitByType map[dataset.CallType]int                   `json:"legit_by_type,omitempty"`
+	AnomByType  map[dataset.CallType]int                   `json:"anom_by_type,omitempty"`
+	PerCP       map[string]map[dataset.CallType]int        `json:"per_cp,omitempty"`
 
-	LangVisited    int           `json:"lang_visited"`
-	LangNoBanner   int           `json:"lang_no_banner"`
-	LangMissed     int           `json:"lang_missed"`
-	AcceptedByLang stats.Counter `json:"accepted_by_lang"`
+	LangVisited    int           `json:"lang_visited,omitempty"`
+	LangNoBanner   int           `json:"lang_no_banner,omitempty"`
+	LangMissed     int           `json:"lang_missed,omitempty"`
+	AcceptedByLang stats.Counter `json:"accepted_by_lang,omitempty"`
 
-	Epochs map[int]epochSnap `json:"epochs"`
+	Epochs map[int]epochSnap `json:"epochs,omitempty"`
 }
 
 type rankSnap struct {
-	Attempted int `json:"a"`
-	Succeeded int `json:"s"`
+	Attempted int `json:"a,omitempty"`
+	Succeeded int `json:"s,omitempty"`
 }
 
 type epochSnap struct {
-	Visits  int             `json:"visits"`
-	Calls   int             `json:"calls"`
-	Callers map[string]bool `json:"callers"`
-	Sites   siteSet         `json:"sites"`
+	Visits  int             `json:"visits,omitempty"`
+	Calls   int             `json:"calls,omitempty"`
+	Callers map[string]bool `json:"callers,omitempty"`
+	Sites   siteSet         `json:"sites,omitempty"`
 }
 
 // allowlistCRC fingerprints the allow-list a fold classified against, so
@@ -283,14 +289,18 @@ func allowlistCRC(allow *attestation.Allowlist) uint32 {
 	return crc
 }
 
-// snapshot assembles the serialized form. The maps are shared with the
-// accumulator (encoding reads, never writes), so building it is O(1)
-// in the dataset and the encode is O(index).
-func (l *LiveIndex) snapshot(ck durable.Checkpoint) *liveSnapshot {
+// segment encodes the accumulator as the payload of one .idx segment
+// covering the committed records (base, ck.Records]: a full segment when
+// base is 0, else a delta holding only those records. The maps are
+// shared with the accumulator (encoding reads, never writes), so the
+// encode is O(accumulator).
+func (l *LiveIndex) segment(journalPath string, base int64, ck durable.Checkpoint) ([]byte, error) {
 	s := l.agg
 	snap := &liveSnapshot{
 		Version:      LiveSnapshotVersion,
+		Journal:      filepath.Base(journalPath),
 		Records:      ck.Records,
+		Base:         base,
 		PayloadCRC:   ck.PayloadCRC,
 		AllowlistCRC: allowlistCRC(l.in.Allowlist),
 		Visits:       l.visits,
@@ -350,10 +360,10 @@ func (l *LiveIndex) snapshot(ck durable.Checkpoint) *liveSnapshot {
 	for ep, ec := range s.epochs {
 		snap.Epochs[ep] = epochSnap{Visits: ec.visits, Calls: ec.calls, Callers: ec.callers, Sites: ec.sites}
 	}
-	return snap
+	return json.Marshal(snap)
 }
 
-// decodeLiveSnapshot strictly decodes and validates snapshot bytes.
+// decodeLiveSnapshot strictly decodes and validates one segment payload.
 func decodeLiveSnapshot(data []byte) (*liveSnapshot, error) {
 	var snap liveSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
@@ -362,33 +372,114 @@ func decodeLiveSnapshot(data []byte) (*liveSnapshot, error) {
 	if snap.Version != LiveSnapshotVersion {
 		return nil, fmt.Errorf("analysis: index snapshot: unsupported version %d", snap.Version)
 	}
-	if snap.Records < 0 || snap.Visits < 0 {
-		return nil, fmt.Errorf("analysis: index snapshot: negative record count")
+	if snap.Base < 0 || snap.Records < snap.Base {
+		return nil, fmt.Errorf("analysis: index snapshot: segment (%d,%d] out of order", snap.Base, snap.Records)
 	}
-	if snap.Records == 0 && snap.Visits > 0 {
-		return nil, fmt.Errorf("analysis: index snapshot: %d visits with zero committed records", snap.Visits)
+	if snap.Base > 0 && snap.Records == snap.Base {
+		return nil, fmt.Errorf("analysis: index snapshot: empty delta segment at %d", snap.Base)
+	}
+	if int64(snap.Visits) != snap.Records-snap.Base {
+		return nil, fmt.Errorf("analysis: index snapshot: %d visits in segment (%d,%d]", snap.Visits, snap.Base, snap.Records)
 	}
 	return &snap, nil
 }
 
-// StoreSnapshot atomically writes the accumulator's serialized form
-// beside the journal, tied to the given committed checkpoint.
-func (l *LiveIndex) StoreSnapshot(journalPath string, ck durable.Checkpoint) error {
-	snap := l.snapshot(ck)
-	snap.Journal = filepath.Base(journalPath)
-	return durable.WriteFileAtomicFS(l.in.FS, IndexSnapshotPath(journalPath), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		return enc.Encode(snap)
-	})
+// segmentLog describes a decoded .idx log the way a sink appending to it
+// needs: the records its last segment covers, the payload bytes of its
+// full segment and of the deltas after it, and whether damaged bytes
+// trail the last valid segment.
+type segmentLog struct {
+	records     int64
+	full, delta int64
+	trailing    bool
 }
 
-// restore rebuilds the accumulator from a decoded snapshot. Maps absent
-// from the file stay as newIndexShard's empty ones.
-func restoreLiveIndex(in *Input, snap *liveSnapshot) *LiveIndex {
-	l := NewLiveIndex(in)
-	s := l.agg
-	l.visits = snap.Visits
+// decodeSegments decodes the valid framed prefix of an .idx log into its
+// segment chain: a full segment, then deltas each continuing exactly
+// where its predecessor ended. A broken chain or an undecodable segment
+// rejects the whole log; damage after the last valid frame only marks it
+// trailing.
+func decodeSegments(data []byte) ([]*liveSnapshot, segmentLog, error) {
+	var segs []*liveSnapshot
+	var log segmentLog
+	st, err := durable.ScanFrames(data, func(payload []byte) error {
+		seg, err := decodeLiveSnapshot(payload)
+		if err != nil {
+			return err
+		}
+		if len(segs) == 0 {
+			if seg.Base != 0 {
+				return fmt.Errorf("analysis: index snapshot: log opens with a delta from %d", seg.Base)
+			}
+			log.full = int64(len(payload))
+		} else {
+			if seg.Base != log.records || seg.Base == 0 {
+				return fmt.Errorf("analysis: index snapshot: segment from %d does not continue %d", seg.Base, log.records)
+			}
+			log.delta += int64(len(payload))
+		}
+		log.records = seg.Records
+		segs = append(segs, seg)
+		return nil
+	})
+	if err != nil {
+		return nil, segmentLog{}, err
+	}
+	if len(segs) == 0 {
+		return nil, segmentLog{}, fmt.Errorf("analysis: index snapshot: no valid segment")
+	}
+	log.trailing = st.Truncated
+	return segs, log, nil
+}
 
+// VerifyIndexSnapshot checks .idx bytes the way a restore reads them,
+// short of the manifest match: every byte framed and CRC-clean, every
+// segment decodable, the chain unbroken and naming journalPath's
+// journal. It returns the committed state the log describes.
+func VerifyIndexSnapshot(data []byte, journalPath string) (records int64, payloadCRC uint32, err error) {
+	segs, log, err := decodeSegments(data)
+	if err != nil {
+		return 0, 0, err
+	}
+	if log.trailing {
+		return 0, 0, fmt.Errorf("analysis: index snapshot: damaged bytes after segment %d", len(segs))
+	}
+	for _, seg := range segs {
+		if seg.Journal != filepath.Base(journalPath) {
+			return 0, 0, fmt.Errorf("analysis: index snapshot: segment names journal %q", seg.Journal)
+		}
+	}
+	last := segs[len(segs)-1]
+	return last.Records, last.PayloadCRC, nil
+}
+
+// storeFull atomically replaces the .idx beside the journal with one
+// full segment of the accumulator, tied to the given committed
+// checkpoint, and returns the segment's payload size.
+func (l *LiveIndex) storeFull(journalPath string, ck durable.Checkpoint) (int64, error) {
+	payload, err := l.segment(journalPath, 0, ck)
+	if err != nil {
+		return 0, err
+	}
+	err = durable.WriteFileAtomicFS(l.in.FS, IndexSnapshotPath(journalPath), func(w io.Writer) error {
+		_, werr := w.Write(durable.AppendFrame(nil, payload))
+		return werr
+	})
+	return int64(len(payload)), err
+}
+
+// StoreSnapshot atomically writes the accumulator's serialized form
+// beside the journal — a log of one full segment — tied to the given
+// committed checkpoint.
+func (l *LiveIndex) StoreSnapshot(journalPath string, ck durable.Checkpoint) error {
+	_, err := l.storeFull(journalPath, ck)
+	return err
+}
+
+// shard rebuilds the indexShard a segment encodes. Maps absent from the
+// segment stay as newIndexShard's empty ones.
+func (snap *liveSnapshot) shard(in *Input, cache *etld.Cache) *indexShard {
+	s := newIndexShard(in, cache)
 	for phase, sets := range snap.Called {
 		s.called[phase] = sets
 	}
@@ -488,15 +579,17 @@ func restoreLiveIndex(in *Input, snap *liveSnapshot) *LiveIndex {
 			s.epochs[ep] = &epochCount{visits: ec.Visits, calls: ec.Calls, callers: callers, sites: sites}
 		}
 	}
-	return l
+	return s
 }
 
 // SnapshotInfo describes a restored index snapshot.
 type SnapshotInfo struct {
 	// Records/PayloadCRC are the committed journal state the snapshot
-	// covers.
+	// covers; Offset is that state's byte offset in the journal, from
+	// the manifest the snapshot was validated against.
 	Records    int64
 	PayloadCRC uint32
+	Offset     int64
 	// Visits is how many records were folded into it.
 	Visits int
 }
@@ -509,36 +602,90 @@ type SnapshotInfo struct {
 // return nil, and the caller falls back to folding from byte 0. It
 // never errors.
 func LoadIndexSnapshot(journalPath string, in *Input) (*LiveIndex, *SnapshotInfo) {
-	m := durable.LoadManifestFS(in.FS, journalPath)
-	if m == nil {
+	segs, info, _ := validLog(journalPath, in)
+	if segs == nil {
 		return nil, nil
 	}
+	return restoreSegments(in, segs), info
+}
+
+// validLog decodes the journal's .idx log when it describes exactly the
+// manifest's committed state — a full segment, every delta continuing
+// its predecessor, every segment naming this journal and allow-list,
+// the last one the manifest's (records, payload CRC) — and returns its
+// segments, what they cover and their layout; nil segments otherwise.
+func validLog(journalPath string, in *Input) ([]*liveSnapshot, *SnapshotInfo, segmentLog) {
+	m := durable.LoadManifestFS(in.FS, journalPath)
+	if m == nil {
+		return nil, nil, segmentLog{}
+	}
+	segs, log, err := decodeLog(journalPath, in)
+	if err != nil {
+		return nil, nil, segmentLog{}
+	}
+	last := segs[len(segs)-1]
+	if last.Records != m.Records || last.PayloadCRC != m.PayloadCRC {
+		return nil, nil, segmentLog{}
+	}
+	return segs, &SnapshotInfo{
+		Records:    last.Records,
+		PayloadCRC: last.PayloadCRC,
+		Offset:     m.Offset,
+		Visits:     int(last.Records),
+	}, log
+}
+
+// readSegmentLog returns the accumulator the journal's .idx segments up
+// to exactly records encode — the prefix a sink verified, whatever
+// bytes a failed append left after it.
+func readSegmentLog(journalPath string, in *Input, records int64) (*LiveIndex, error) {
+	segs, _, err := decodeLog(journalPath, in)
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for n < len(segs) && segs[n].Records <= records {
+		n++
+	}
+	if n == 0 || segs[n-1].Records != records {
+		return nil, fmt.Errorf("analysis: index snapshot: log does not reach record %d", records)
+	}
+	return restoreSegments(in, segs[:n]), nil
+}
+
+// decodeLog reads and decodes the journal's .idx log, every segment of
+// which must name this journal and allow-list.
+func decodeLog(journalPath string, in *Input) ([]*liveSnapshot, segmentLog, error) {
 	fsys := in.FS
 	if fsys == nil {
 		fsys = durable.OS
 	}
 	data, err := fsys.ReadFile(IndexSnapshotPath(journalPath))
 	if err != nil {
-		return nil, nil
+		return nil, segmentLog{}, err
 	}
-	snap, err := decodeLiveSnapshot(data)
+	segs, log, err := decodeSegments(data)
 	if err != nil {
-		return nil, nil
+		return nil, segmentLog{}, err
 	}
-	if snap.Journal != filepath.Base(journalPath) {
-		return nil, nil
+	journal, allow := filepath.Base(journalPath), allowlistCRC(in.Allowlist)
+	for _, seg := range segs {
+		if seg.Journal != journal || seg.AllowlistCRC != allow {
+			return nil, segmentLog{}, fmt.Errorf("analysis: index snapshot: segment of journal %q, allow-list %x", seg.Journal, seg.AllowlistCRC)
+		}
 	}
-	if snap.Records != m.Records || snap.PayloadCRC != m.PayloadCRC {
-		return nil, nil
+	return segs, log, nil
+}
+
+// restoreSegments merges a decoded segment chain into an accumulator.
+func restoreSegments(in *Input, segs []*liveSnapshot) *LiveIndex {
+	l := NewLiveIndex(in)
+	l.agg = segs[0].shard(in, l.cache)
+	for _, seg := range segs[1:] {
+		l.agg.absorb(seg.shard(in, l.cache))
 	}
-	if snap.AllowlistCRC != allowlistCRC(in.Allowlist) {
-		return nil, nil
-	}
-	return restoreLiveIndex(in, snap), &SnapshotInfo{
-		Records:    snap.Records,
-		PayloadCRC: snap.PayloadCRC,
-		Visits:     snap.Visits,
-	}
+	l.visits = int(segs[len(segs)-1].Records)
+	return l
 }
 
 // LiveStats reports how a live index was (re)assembled and what it cost
@@ -572,22 +719,9 @@ func LoadLiveIndex(journalPath string, in *Input) (*LiveIndex, *LiveStats, error
 	if live != nil {
 		st.SnapshotRestored = true
 		st.SnapshotRecords = info.Records
-		// The manifest validated against the snapshot moments ago; a
-		// racing checkpoint can only move it forward, and folding from
-		// the snapshot's own committed offset stays correct either way.
-		if m := durable.LoadManifest(journalPath); m != nil && m.Records == info.Records {
-			offset = m.Offset
-		}
-	}
-	if live == nil {
+		offset = info.Offset
+	} else {
 		live = NewLiveIndex(in)
-	}
-	if offset == 0 && st.SnapshotRestored {
-		// Snapshot usable but its offset unknown (manifest raced away):
-		// degrade to the full scan rather than double-fold.
-		live = NewLiveIndex(in)
-		st.SnapshotRestored = false
-		st.SnapshotRecords = 0
 	}
 
 	rc, cr, err := durable.OpenTail(journalPath, offset)
@@ -628,49 +762,83 @@ func LoadLive(journalPath string, in *Input) (*Index, *LiveStats, error) {
 
 // LiveSink is the fold consumer hooked into the crawler's rank-ordered
 // sink: it implements dataset.VisitObserver, folding every appended
-// record into a LiveIndex and serializing the accumulator beside the
-// journal at every committed checkpoint. The snapshot write rides the
-// same cadence as the manifest, so `<out>.idx` always describes a state
-// the manifest can vouch for.
+// record and persisting the fold beside the journal at every committed
+// checkpoint. The write rides the same cadence as the manifest, so
+// `<out>.idx` always describes a state the manifest can vouch for.
+//
+// A checkpoint appends one delta segment holding only the records it
+// commits, so its cost is O(delta), not O(index). The log is compacted
+// — rewritten atomically as one full segment — at the sink's first
+// checkpoint, whenever the deltas since the last full segment reach its
+// size (so the file stays under about twice the index and the rewrites
+// grow geometrically), and at a checkpoint that commits no new records.
+// The crawler's final Flush + Close is such a checkpoint, so a finished
+// campaign leaves one full segment whose bytes depend only on its
+// records, not on the cadence or the crashes that produced them.
+//
+// Between compactions the log on disk is the accumulator: the sink
+// keeps in memory only the records it has not yet persisted, and a
+// compaction reads the log back to merge them.
 type LiveSink struct {
 	path string
-	idx  *LiveIndex
+	in   *Input
+	// delta holds the records the log does not: those past log.records,
+	// or every record while the log is unverified (log.full == 0).
+	delta *LiveIndex
+	// log is the .idx as the sink last verified or wrote it. A log with
+	// trailing set has unverified bytes past log.records (a failed
+	// append), so the next checkpoint compacts instead of appending.
+	log segmentLog
 }
 
 // NewLiveSink returns a sink for a fresh journal.
 func NewLiveSink(journalPath string, in *Input) *LiveSink {
-	return &LiveSink{path: journalPath, idx: NewLiveIndex(in)}
+	return &LiveSink{path: journalPath, in: in, delta: NewLiveIndex(in)}
 }
 
 // OpenLiveSink returns a sink for a journal about to be resumed:
-// restore the snapshot when it matches the manifest (O(snapshot)), else
-// fold the committed prefix from byte 0 (the degrade path — salvage,
-// never error). Records past the committed checkpoint are NOT folded
-// here: ResumeJournal re-appends the kept tail groups through the
-// observer, which is where they reach the sink.
+// verify the snapshot against the manifest (O(snapshot)), else fold the
+// committed prefix from byte 0 (the degrade path — salvage, never
+// error). Records past the committed checkpoint are NOT folded here:
+// ResumeJournal re-appends the kept tail groups through the observer,
+// which is where they reach the sink.
 func OpenLiveSink(journalPath string, in *Input) (*LiveSink, *LiveStats, error) {
 	st := &LiveStats{}
-	if live, info := LoadIndexSnapshot(journalPath, in); live != nil {
+	if segs, info, log := validLog(journalPath, in); segs != nil {
 		st.SnapshotRestored = true
 		st.SnapshotRecords = info.Records
 		in.Metrics.Add("analysis_index_snapshots_restored_total", 1)
-		return &LiveSink{path: journalPath, idx: live}, st, nil
+		return &LiveSink{path: journalPath, in: in, delta: NewLiveIndex(in), log: log}, st, nil
 	}
-	live := NewLiveIndex(in)
-	m := durable.LoadManifest(journalPath)
-	if m == nil || m.Records == 0 {
+	records := int64(-1)
+	if m := durable.LoadManifest(journalPath); m != nil {
+		records = m.Records
+	}
+	if records <= 0 {
 		// Nothing committed (or no usable manifest, in which case the
 		// resume's own salvaging scan replays everything through the
 		// observer): start empty.
-		return &LiveSink{path: journalPath, idx: live}, st, nil
+		return NewLiveSink(journalPath, in), st, nil
 	}
-	rc, cr, err := durable.OpenTail(journalPath, 0)
+	live, err := foldJournalPrefix(journalPath, in, records, st)
 	if err != nil {
 		return nil, nil, err
 	}
+	in.Metrics.Add("analysis_index_snapshot_rebuilds_total", 1)
+	return &LiveSink{path: journalPath, in: in, delta: live}, st, nil
+}
+
+// foldJournalPrefix folds the journal's first records records — the
+// rebuild of last resort when no usable snapshot holds them.
+func foldJournalPrefix(journalPath string, in *Input, records int64, st *LiveStats) (*LiveIndex, error) {
+	live := NewLiveIndex(in)
+	rc, cr, err := durable.OpenTail(journalPath, 0)
+	if err != nil {
+		return nil, err
+	}
 	defer rc.Close()
 	_, err = durable.ScanRecords(rc, func(payload []byte) error {
-		if int64(live.visits) >= m.Records {
+		if int64(live.visits) >= records {
 			return nil
 		}
 		var v dataset.Visit
@@ -681,37 +849,105 @@ func OpenLiveSink(journalPath string, in *Input) (*LiveSink, *LiveStats, error) 
 		st.TailRecords++
 		return nil
 	})
-	st.BytesRead = cr.BytesRead()
+	st.BytesRead += cr.BytesRead()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	in.Metrics.Add("analysis_index_snapshot_rebuilds_total", 1)
-	return &LiveSink{path: journalPath, idx: live}, st, nil
+	return live, nil
 }
 
-// Live returns the sink's accumulator.
-func (s *LiveSink) Live() *LiveIndex { return s.idx }
+// Live assembles the sink's whole accumulator: the log read back from
+// disk (or, if it cannot be read, the journal prefix it covers) merged
+// with the records not yet persisted. It is a copy — folding into it
+// does not reach the sink — and nil when neither source is readable.
+func (s *LiveSink) Live() *LiveIndex {
+	live := NewLiveIndex(s.in)
+	if s.log.full > 0 {
+		var err error
+		if live, err = s.persisted(); err != nil {
+			return nil
+		}
+	}
+	live.agg.absorb(s.delta.agg.clone(s.in))
+	live.visits += s.delta.visits
+	return live
+}
+
+// persisted reads back the accumulator of the log's verified prefix,
+// refolding the journal when the log itself cannot be read.
+func (s *LiveSink) persisted() (*LiveIndex, error) {
+	if live, err := readSegmentLog(s.path, s.in, s.log.records); err == nil {
+		return live, nil
+	}
+	live, err := foldJournalPrefix(s.path, s.in, s.log.records, &LiveStats{})
+	if err == nil && int64(live.visits) != s.log.records {
+		err = fmt.Errorf("analysis: journal %s holds %d of %d committed records", s.path, live.visits, s.log.records)
+	}
+	return live, err
+}
 
 // ObserveVisit folds one appended record.
 func (s *LiveSink) ObserveVisit(v *dataset.Visit) {
-	s.idx.Fold(v)
-	s.idx.in.Metrics.Add("analysis_live_visits_folded_total", 1)
+	s.delta.Fold(v)
+	s.in.Metrics.Add("analysis_live_visits_folded_total", 1)
 }
 
-// ObserveCheckpoint serializes the accumulator for the committed state.
-// A sink attached mid-journal (fold count out of step with the commit)
+// ObserveCheckpoint persists the records the committed state adds: one
+// delta segment appended, or the whole log compacted (see LiveSink). A
+// sink attached mid-journal (fold count out of step with the commit)
 // writes nothing — a snapshot must never describe records it did not
 // fold. The snapshot is an accelerator: a storage fault while writing
-// it is counted and absorbed (readers degrade to a full fold), never
-// surfaced as a checkpoint failure.
+// it is counted and absorbed (readers degrade to a full fold, and the
+// next checkpoint compacts), never surfaced as a checkpoint failure.
 func (s *LiveSink) ObserveCheckpoint(ck durable.Checkpoint) error {
-	if int64(s.idx.visits) != ck.Records {
+	log := s.log
+	var base int64
+	if log.full > 0 {
+		base = log.records
+	}
+	if base+int64(s.delta.visits) != ck.Records {
 		return nil
 	}
-	if err := s.idx.StoreSnapshot(s.path, ck); err != nil {
-		s.idx.in.Metrics.Add("storage_accelerator_write_failures_total", 1, "artifact", "snapshot")
+	if log.full > 0 && !log.trailing && log.delta == 0 && log.records == ck.Records {
+		return nil // the log already is this state's single full segment
+	}
+	// A delta extends a verified log whose full segment holds records
+	// (base 0 marks a full segment).
+	if log.full > 0 && !log.trailing && log.records > 0 && log.records < ck.Records && log.delta < log.full {
+		payload, err := s.delta.segment(s.path, log.records, ck)
+		if err == nil {
+			err = durable.AppendFileFS(s.in.FS, IndexSnapshotPath(s.path), durable.AppendFrame(nil, payload))
+		}
+		if err != nil {
+			s.log.trailing = true
+			s.in.Metrics.Add("storage_accelerator_write_failures_total", 1, "artifact", "snapshot")
+			return nil
+		}
+		s.log.records = ck.Records
+		s.log.delta += int64(len(payload))
+		s.delta = NewLiveIndex(s.in)
+		s.in.Metrics.Add("analysis_index_snapshots_written_total", 1, "segment", "delta")
 		return nil
 	}
-	s.idx.in.Metrics.Add("analysis_index_snapshots_written_total", 1)
+	full := s.delta
+	if log.full > 0 {
+		var err error
+		if full, err = s.persisted(); err != nil {
+			s.in.Metrics.Add("storage_accelerator_write_failures_total", 1, "artifact", "snapshot")
+			return nil
+		}
+		full.agg.absorb(s.delta.agg)
+		full.visits += s.delta.visits
+	}
+	n, err := full.storeFull(s.path, ck)
+	if err != nil {
+		// The file is the old log or the new one: keep everything in
+		// memory and compact again at the next checkpoint.
+		s.delta, s.log = full, segmentLog{}
+		s.in.Metrics.Add("storage_accelerator_write_failures_total", 1, "artifact", "snapshot")
+		return nil
+	}
+	s.delta, s.log = NewLiveIndex(s.in), segmentLog{records: ck.Records, full: n}
+	s.in.Metrics.Add("analysis_index_snapshots_written_total", 1, "segment", "full")
 	return nil
 }

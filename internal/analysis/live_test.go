@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -196,12 +197,11 @@ func TestLiveIndexMergeProperty(t *testing.T) {
 	}
 }
 
-// foldJournal writes the given visits through a checkpointed journal
-// with a live sink attached, completing each site group as the crawler
-// would, and returns the sink.
-func foldJournal(t *testing.T, path string, visits []dataset.Visit, every int, liveIn *Input) *LiveSink {
+// writeJournal writes the given visits through a checkpointed journal
+// with the sink attached, completing each site group as the crawler
+// would, and returns the still-open writer.
+func writeJournal(t *testing.T, path string, visits []dataset.Visit, every int, sink *LiveSink) *dataset.JournalWriter {
 	t.Helper()
-	sink := NewLiveSink(path, liveIn)
 	jw, err := dataset.CreateJournal(path, dataset.JournalOptions{
 		CheckpointEvery: every,
 		Observer:        sink,
@@ -209,6 +209,13 @@ func foldJournal(t *testing.T, path string, visits []dataset.Visit, every int, l
 	if err != nil {
 		t.Fatal(err)
 	}
+	writeVisits(t, jw, visits)
+	return jw
+}
+
+// writeVisits appends visits, completing each site group.
+func writeVisits(t *testing.T, jw *dataset.JournalWriter, visits []dataset.Visit) {
+	t.Helper()
 	for i := range visits {
 		if err := jw.Write(&visits[i]); err != nil {
 			t.Fatal(err)
@@ -219,9 +226,26 @@ func foldJournal(t *testing.T, path string, visits []dataset.Visit, every int, l
 			}
 		}
 	}
+}
+
+// finishJournal ends a campaign the way the crawler does: a final Flush
+// checkpoint, then Close.
+func finishJournal(t *testing.T, jw *dataset.JournalWriter) {
+	t.Helper()
+	if err := jw.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if err := jw.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// foldJournal journals the given visits with a live sink attached,
+// finishes the campaign, and returns the sink.
+func foldJournal(t *testing.T, path string, visits []dataset.Visit, every int, liveIn *Input) *LiveSink {
+	t.Helper()
+	sink := NewLiveSink(path, liveIn)
+	finishJournal(t, writeJournal(t, path, visits, every, sink))
 	return sink
 }
 
@@ -311,6 +335,39 @@ func TestLiveSnapshotCorruptionDegrades(t *testing.T) {
 			data[12] ^= 0xff
 			os.WriteFile(p, data, 0o644) //nolint:errcheck // test corruption
 		}},
+		{"body-bit-flip", func(t *testing.T, p string) {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One bit of the first attempted site name: the header still
+			// parses and matches the manifest, only the frame CRC knows.
+			i := bytes.Index(data, []byte(`"attempted":{"`))
+			if i < 0 {
+				t.Fatal("no attempted set in the snapshot")
+			}
+			data[i+len(`"attempted":{"`)] ^= 0x01
+			if err := os.WriteFile(p, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"version-1", func(t *testing.T, p string) {
+			// A pre-segment snapshot: one bare JSON document.
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var body []byte
+			if _, err := durable.ScanFrames(data, func(payload []byte) error {
+				body = bytes.Replace(payload, []byte(`"version":2`), []byte(`"version":1`), 1)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, append(body, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"missing", func(t *testing.T, p string) {
 			if err := os.Remove(p); err != nil {
 				t.Fatal(err)
@@ -363,20 +420,20 @@ func TestLiveSnapshotCorruptionDegrades(t *testing.T) {
 	}
 }
 
-// TestLiveSinkResumeAcrossCheckpoint pins the resume protocol end to
-// end at the dataset layer: fold a prefix through a sink, "crash" (no
-// final checkpoint), reopen with OpenLiveSink + ResumeJournal, finish,
-// and demand the final index equals the uninterrupted build.
-func TestLiveSinkResumeAcrossCheckpoint(t *testing.T) {
-	in := chaosInput(t)
-	visits := in.Data.Visits[:600]
-	const every = 4
-	path := filepath.Join(t.TempDir(), "resume.jsonl.gz")
-
+// crashResumeJournal journals visits through a live sink, "crashes"
+// halfway (no final checkpoint), reopens with OpenLiveSink +
+// ResumeJournal — asserting the snapshot restored without reading the
+// journal and the salvaged tail replayed through the sink — finishes
+// the remaining sites and ends with Flush + Close. It returns the
+// resumed sink.
+func crashResumeJournal(t *testing.T, path string, visits []dataset.Visit, every int, allow *attestation.Allowlist) *LiveSink {
+	t.Helper()
 	// Phase 1: write a prefix and abort without the final checkpoint —
 	// some committed sites, some salvageable tail.
-	sink := NewLiveSink(path, &Input{Allowlist: in.Allowlist})
-	jw, err := dataset.CreateJournal(path, dataset.JournalOptions{CheckpointEvery: every, Observer: sink})
+	jw, err := dataset.CreateJournal(path, dataset.JournalOptions{
+		CheckpointEvery: every,
+		Observer:        NewLiveSink(path, &Input{Allowlist: allow}),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +460,7 @@ func TestLiveSinkResumeAcrossCheckpoint(t *testing.T) {
 
 	// Phase 2: resume. The sink restores the snapshot (O(snapshot), no
 	// journal bytes); ResumeJournal replays the salvaged tail through it.
-	sink2, lst, err := OpenLiveSink(path, &Input{Allowlist: in.Allowlist})
+	sink, lst, err := OpenLiveSink(path, &Input{Allowlist: allow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,25 +470,21 @@ func TestLiveSinkResumeAcrossCheckpoint(t *testing.T) {
 	if lst.BytesRead != 0 {
 		t.Fatalf("snapshot restore read %d journal bytes, want 0", lst.BytesRead)
 	}
-	if int64(sink2.Live().Visits()) != m.Records {
-		t.Fatalf("restored sink covers %d records, manifest commits %d", sink2.Live().Visits(), m.Records)
+	if int64(sink.Live().Visits()) != m.Records {
+		t.Fatalf("restored sink covers %d records, manifest commits %d", sink.Live().Visits(), m.Records)
 	}
-	jw2, st, err := dataset.ResumeJournal(path, dataset.JournalOptions{CheckpointEvery: every, Observer: sink2})
+	jw2, st, err := dataset.ResumeJournal(path, dataset.JournalOptions{CheckpointEvery: every, Observer: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(sink2.Live().Visits()) != m.Records+st.RecordsKept {
+	if int64(sink.Live().Visits()) != m.Records+st.RecordsKept {
 		t.Fatalf("after tail replay the sink covers %d records, want %d",
-			sink2.Live().Visits(), m.Records+st.RecordsKept)
+			sink.Live().Visits(), m.Records+st.RecordsKept)
 	}
 
 	// Finish the remaining records, skipping sites already durable.
-	done := make(map[string]bool, len(st.Completed))
-	for s := range st.Completed {
-		done[s] = true
-	}
 	for i := 0; i < len(visits); i++ {
-		if visits[i].Rank <= st.WatermarkRank || done[visits[i].Site] {
+		if visits[i].Rank <= st.WatermarkRank || st.Completed[visits[i].Site] {
 			continue
 		}
 		if err := jw2.Write(&visits[i]); err != nil {
@@ -443,14 +496,179 @@ func TestLiveSinkResumeAcrossCheckpoint(t *testing.T) {
 			}
 		}
 	}
-	if err := jw2.Close(); err != nil {
-		t.Fatal(err)
-	}
+	finishJournal(t, jw2)
+	return sink
+}
+
+// TestLiveSinkResumeAcrossCheckpoint pins the resume protocol end to
+// end at the dataset layer: fold a prefix through a sink, "crash" (no
+// final checkpoint), reopen with OpenLiveSink + ResumeJournal, finish,
+// and demand the final index equals the uninterrupted build.
+func TestLiveSinkResumeAcrossCheckpoint(t *testing.T) {
+	in := chaosInput(t)
+	visits := in.Data.Visits[:600]
+	path := filepath.Join(t.TempDir(), "resume.jsonl.gz")
+	sink := crashResumeJournal(t, path, visits, 4, in.Allowlist)
 
 	full := &Input{
 		Data:         &dataset.Dataset{Visits: visits},
 		Allowlist:    in.Allowlist,
 		Attestations: in.Attestations,
 	}
-	assertIndexEqual(t, "resumed sink", sink2.Live().Snapshot(in), full.Index())
+	assertIndexEqual(t, "resumed sink", sink.Live().Snapshot(in), full.Index())
+}
+
+// TestLiveSnapshotHistoryIndependence pins the compaction contract: a
+// finished campaign (Flush + Close) leaves one full segment encoding
+// its final state, so the .idx bytes depend on the records alone — not
+// on the checkpoint cadence, nor on a crash and resume along the way.
+func TestLiveSnapshotHistoryIndependence(t *testing.T) {
+	in := chaosInput(t)
+	visits := in.Data.Visits[:600]
+	idx := func(path string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(IndexSnapshotPath(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	path := func() string { return filepath.Join(t.TempDir(), "history.jsonl.gz") }
+
+	resumed := path()
+	crashResumeJournal(t, resumed, visits, 4, in.Allowlist)
+	want := idx(resumed)
+	segs, log, err := decodeSegments(want)
+	if err != nil || len(segs) != 1 || log.trailing {
+		t.Fatalf("finished campaign left %d segments (trailing %v, err %v), want one full segment", len(segs), log.trailing, err)
+	}
+	if segs[0].Records != int64(len(visits)) {
+		t.Fatalf("full segment covers %d records, want %d", segs[0].Records, len(visits))
+	}
+	for _, every := range []int{5, 50} {
+		p := path()
+		foldJournal(t, p, visits, every, &Input{Allowlist: in.Allowlist})
+		if !bytes.Equal(idx(p), want) {
+			t.Fatalf("cadence %d: .idx differs from the crash-resumed campaign's", every)
+		}
+	}
+
+	// A log lost mid-campaign: the next append fails, and the compaction
+	// after it refolds the journal prefix the lost log held.
+	cut := len(visits) / 2
+	for visits[cut].Site == visits[cut-1].Site {
+		cut++
+	}
+	lost := path()
+	jw := writeJournal(t, lost, visits[:cut], 5, NewLiveSink(lost, &Input{Allowlist: in.Allowlist}))
+	if err := os.Remove(IndexSnapshotPath(lost)); err != nil {
+		t.Fatal(err)
+	}
+	writeVisits(t, jw, visits[cut:])
+	finishJournal(t, jw)
+	if !bytes.Equal(idx(lost), want) {
+		t.Fatal("campaign that lost its .idx mid-way ends with a different .idx")
+	}
+}
+
+// countingFS counts the bytes written to .idx files (temps included)
+// and the atomic rewrites that land on one.
+type countingFS struct {
+	durable.FS
+	written, rewrites int64
+}
+
+type countingFile struct {
+	durable.File
+	n *int64
+}
+
+func (f countingFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	*f.n += int64(n)
+	return n, err
+}
+
+func (c *countingFS) wrap(f durable.File, err error) (durable.File, error) {
+	if err != nil || chaos.ClassifyArtifact(f.Name()) != chaos.PathSnapshot {
+		return f, err
+	}
+	return countingFile{File: f, n: &c.written}, nil
+}
+
+func (c *countingFS) Create(path string) (durable.File, error) { return c.wrap(c.FS.Create(path)) }
+
+func (c *countingFS) OpenFile(path string, flag int, perm os.FileMode) (durable.File, error) {
+	return c.wrap(c.FS.OpenFile(path, flag, perm))
+}
+
+func (c *countingFS) CreateTemp(dir, pattern string) (durable.File, error) {
+	return c.wrap(c.FS.CreateTemp(dir, pattern))
+}
+
+func (c *countingFS) Rename(oldpath, newpath string) error {
+	if chaos.ClassifyArtifact(newpath) == chaos.PathSnapshot {
+		c.rewrites++
+	}
+	return c.FS.Rename(oldpath, newpath)
+}
+
+// TestLiveSnapshotWritesStayLinear pins the write side of the segment
+// log on the worst cadence, a checkpoint after every site: the total
+// .idx bytes written stay a small multiple of the final file (the
+// whole-file rewrite it replaced wrote O(checkpoints x index)), and full
+// rewrites grow only logarithmically with the checkpoint count.
+//
+// The constants follow from the compaction rule once a delta costs at
+// most twice its share of the full segment: a one-site delta re-names
+// every domain key it touches, which the full segment names once, so on
+// this fixture each compaction grows the full segment by about 1.6x
+// (not 2x) and the total comes to about 4.7x the final file.
+//
+// Mid-campaign the log is a chain of deltas that restores to the exact
+// prefix index.
+func TestLiveSnapshotWritesStayLinear(t *testing.T) {
+	in := chaosInput(t)
+	visits := in.Data.Visits[:300]
+	sites := 0
+	for i := range visits {
+		if i+1 == len(visits) || visits[i+1].Site != visits[i].Site {
+			sites++
+		}
+	}
+	fsys := &countingFS{FS: durable.OS}
+	path := filepath.Join(t.TempDir(), "linear.jsonl.gz")
+	sink := NewLiveSink(path, &Input{Allowlist: in.Allowlist, FS: fsys})
+	jw := writeJournal(t, path, visits, 1, sink)
+
+	data, err := os.ReadFile(IndexSnapshotPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if segs, _, err := decodeSegments(data); err != nil || len(segs) < 2 {
+		t.Fatalf("mid-campaign log has %d segments (err %v), want a full segment plus deltas", len(segs), err)
+	}
+	live, _ := LoadIndexSnapshot(path, &Input{Allowlist: in.Allowlist})
+	if live == nil {
+		t.Fatal("mid-campaign segment log did not restore")
+	}
+	ref := &Input{Data: &dataset.Dataset{Visits: visits}, Allowlist: in.Allowlist, Attestations: in.Attestations}
+	assertIndexEqual(t, "restored delta chain", live.Snapshot(in), ref.Index())
+
+	finishJournal(t, jw)
+	final, err := os.ReadFile(IndexSnapshotPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoints := sites + 2 // one per site, then Flush and Close
+	if fsys.written > 5*int64(len(final)) {
+		t.Fatalf("wrote %d .idx bytes over %d checkpoints, more than 5x the %d-byte final file",
+			fsys.written, checkpoints, len(final))
+	}
+	limit := int64(math.Ceil(math.Log(float64(checkpoints))/math.Log(1.5))) + 2
+	if fsys.rewrites > limit {
+		t.Fatalf("%d full rewrites over %d checkpoints, want at most %d", fsys.rewrites, checkpoints, limit)
+	}
+	t.Logf("%d checkpoints: %d .idx bytes written (%.2fx the %d-byte final file), %d full rewrites",
+		checkpoints, fsys.written, float64(fsys.written)/float64(len(final)), len(final), fsys.rewrites)
 }

@@ -46,6 +46,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 )
 
@@ -96,6 +97,29 @@ func WriteFileAtomicFS(fsys FS, path string, write func(io.Writer) error) (err e
 		return fmt.Errorf("durable: renaming into %s: %w", path, err)
 	}
 	return fsys.SyncDir(dir)
+}
+
+// AppendFileFS appends data to an existing file and fsyncs it: the write
+// path of append-only sidecars whose every byte is framed, so a torn
+// append leaves a detectable tail rather than silent damage. It never
+// creates the file — an append log is established by WriteFileAtomicFS.
+func AppendFileFS(fsys FS, path string, data []byte) error {
+	f, err := fsOrOS(fsys).OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("durable: opening %s for append: %w", path, err)
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return fmt.Errorf("durable: appending to %s: %w", path, err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("durable: syncing %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("durable: closing %s: %w", path, err)
+	}
+	return nil
 }
 
 // SyncDir fsyncs a directory through the production filesystem,

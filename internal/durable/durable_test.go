@@ -146,6 +146,89 @@ func TestScanRecordsSalvagesTornTails(t *testing.T) {
 	}
 }
 
+// TestScanFramesMatchesScanRecords pins the in-memory scanner to the
+// streaming one: on every prefix of a mixed framed/legacy stream (every
+// torn tail), and on every single-byte corruption of it, both deliver
+// the same payloads and report the same stats.
+func TestScanFramesMatchesScanRecords(t *testing.T) {
+	stream := AppendFrame(nil, []byte(`{"site":"a.com"}`))
+	stream = append(stream, "\n"+`{"site":"legacy.com"}`+"\n"...)
+	stream = AppendFrame(stream, []byte(`{"site":"b.com","n":[1,2,3]}`))
+	stream = AppendFrame(stream, nil)
+	stream = AppendFrame(stream, []byte(`{"site":"c.com"}`))
+
+	scan := func(data []byte, frames bool) ([]string, ScanStats) {
+		var got []string
+		fn := func(p []byte) error {
+			got = append(got, string(p))
+			return nil
+		}
+		var st ScanStats
+		var err error
+		if frames {
+			st, err = ScanFrames(data, fn)
+		} else {
+			st, err = ScanRecords(bytes.NewReader(data), fn)
+		}
+		if err != nil {
+			t.Fatalf("salvaging scan errored: %v", err)
+		}
+		return got, st
+	}
+	check := func(label string, data []byte) {
+		t.Helper()
+		wantP, wantSt := scan(data, false)
+		gotP, gotSt := scan(data, true)
+		if gotSt != wantSt {
+			t.Fatalf("%s: ScanFrames stats %+v, ScanRecords %+v", label, gotSt, wantSt)
+		}
+		if strings.Join(gotP, "\x00") != strings.Join(wantP, "\x00") {
+			t.Fatalf("%s: ScanFrames payloads %q, ScanRecords %q", label, gotP, wantP)
+		}
+	}
+	for n := 0; n <= len(stream); n++ {
+		check(fmt.Sprintf("prefix %d", n), stream[:n])
+	}
+	for i := range stream {
+		flipped := append([]byte(nil), stream...)
+		flipped[i] ^= 0x20
+		check(fmt.Sprintf("flip at %d", i), flipped)
+	}
+
+	boom := fmt.Errorf("stop")
+	if _, err := ScanFrames(stream, func([]byte) error { return boom }); err != boom {
+		t.Fatalf("err = %v, want callback error", err)
+	}
+}
+
+func TestAppendFileFSAppendsAndNeverCreates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.idx")
+	if err := AppendFileFS(nil, path, []byte("x")); err == nil {
+		t.Fatal("append created a missing file")
+	}
+	if err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(AppendFrame(nil, []byte("a")))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := AppendFileFS(nil, path, AppendFrame(nil, []byte("b"))); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	st, _ := ScanFrames(data, func(p []byte) error {
+		got = append(got, string(p))
+		return nil
+	})
+	if st.Truncated || strings.Join(got, ",") != "a,b" {
+		t.Fatalf("appended log scans as %q (st=%+v)", got, st)
+	}
+}
+
 func TestScanRecordsPropagatesCallbackError(t *testing.T) {
 	in := AppendFrame(nil, []byte(`{"a":1}`))
 	boom := fmt.Errorf("stop")

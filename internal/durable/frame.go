@@ -156,6 +156,53 @@ func ScanRecords(r io.Reader, fn func(payload []byte) error) (ScanStats, error) 
 	}
 }
 
+// ScanFrames is ScanRecords over an in-memory buffer: the same framing,
+// salvage rules and stats, but fn receives sub-slices of data rather
+// than copies, so scanning a whole-file sidecar allocates nothing. fn
+// must not modify the slices it is handed.
+func ScanFrames(data []byte, fn func(payload []byte) error) (ScanStats, error) {
+	var st ScanStats
+	truncate := func(reason string) (ScanStats, error) {
+		st.Truncated = true
+		st.Reason = reason
+		st.TruncatedBytes = int64(len(data)) - st.Bytes
+		return st, nil
+	}
+	for pos := 0; pos < len(data); {
+		nl := bytes.IndexByte(data[pos:], '\n')
+		if nl < 0 {
+			return truncate("torn-line")
+		}
+		payload := data[pos : pos+nl]
+		pos += nl + 1
+		if len(payload) == 0 {
+			st.Bytes = int64(pos)
+			continue
+		}
+		if bytes.HasPrefix(payload, []byte(framePrefix)) {
+			n, wantCRC, ok := parseFrameHeader(payload)
+			if !ok {
+				return truncate("torn-header")
+			}
+			if len(data)-pos < n+1 || data[pos+n] != '\n' {
+				return truncate("torn-payload")
+			}
+			payload = data[pos : pos+n]
+			pos += n + 1
+			if crc32.Checksum(payload, castagnoli) != wantCRC {
+				return truncate("crc-mismatch")
+			}
+		}
+		if err := fn(payload); err != nil {
+			return st, err
+		}
+		st.Records++
+		st.PayloadCRC = PayloadCRC(st.PayloadCRC, payload)
+		st.Bytes = int64(pos)
+	}
+	return st, nil
+}
+
 // drain counts whatever readable bytes remain after a truncation point,
 // so TruncatedBytes reflects the whole discarded tail. Read errors
 // (torn gzip members) simply end the count.

@@ -33,10 +33,10 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/netmeasure/topicscope/internal/analysis"
+	"github.com/netmeasure/topicscope/internal/dataset"
 	"github.com/netmeasure/topicscope/internal/durable"
 	"github.com/netmeasure/topicscope/internal/obs"
-
-	"github.com/netmeasure/topicscope/internal/dataset"
 )
 
 // Finding codes, one per artifact defect class.
@@ -471,34 +471,26 @@ func groupCRC(crc uint32, g group) uint32 {
 	return crc
 }
 
-// checkSnapshot validates the live index snapshot sidecar: it must be
-// decodable JSON naming this journal and, when the manifest is
-// trusted, describe the manifest's exact committed state. It is an
-// accelerator — defects are findings that repair fixes by rebuild, and
-// readers degrade gracefully meanwhile.
+// checkSnapshot validates the live index snapshot sidecar: its segment
+// log must verify byte for byte (framing, CRCs, an unbroken chain
+// naming this journal) and, when the manifest is trusted, end at the
+// manifest's exact committed state. It is an accelerator — defects are
+// findings that repair fixes by rebuild, and readers degrade gracefully
+// meanwhile.
 func checkSnapshot(path string, m *durable.Manifest, note func(artifact, code, detail string)) {
-	idxPath := path + ".idx"
+	idxPath := analysis.IndexSnapshotPath(path)
 	data, err := os.ReadFile(idxPath)
 	if err != nil {
 		return // absent is fine: it rebuilds from the journal
 	}
-	var hdr struct {
-		Version    int    `json:"version"`
-		Journal    string `json:"journal"`
-		Records    int64  `json:"records"`
-		PayloadCRC uint32 `json:"payload_crc"`
-	}
-	if uerr := json.Unmarshal(data, &hdr); uerr != nil {
-		note(filepath.Base(idxPath), CodeSnapshotCorrupt, uerr.Error())
+	records, crc, err := analysis.VerifyIndexSnapshot(data, path)
+	if err != nil {
+		note(filepath.Base(idxPath), CodeSnapshotCorrupt, err.Error())
 		return
 	}
-	if hdr.Journal != filepath.Base(path) {
-		note(filepath.Base(idxPath), CodeSnapshotCorrupt, "snapshot names a different journal")
-		return
-	}
-	if m != nil && (hdr.Records != m.Records || hdr.PayloadCRC != m.PayloadCRC) {
+	if m != nil && (records != m.Records || crc != m.PayloadCRC) {
 		note(filepath.Base(idxPath), CodeSnapshotStale,
-			fmt.Sprintf("snapshot folds %d records, manifest commits %d", hdr.Records, m.Records))
+			fmt.Sprintf("snapshot folds %d records, manifest commits %d", records, m.Records))
 	}
 }
 

@@ -344,6 +344,37 @@ func TestRepairParityFaultMatrix(t *testing.T) {
 	}
 }
 
+// TestSnapshotBodyBitFlipIsCorrupt pins the .idx integrity check: one
+// flipped bit in the first attempted site name leaves every header field
+// intact, so only the segment CRC can tell — verify must report it, and
+// repair must restore parity.
+func TestSnapshotBodyBitFlipIsCorrupt(t *testing.T) {
+	dir := cloneCampaign(t)
+	idx := filepath.Join(dir, "crawl.jsonl.gz.idx")
+	data := readFile(t, idx)
+	key := []byte(`"attempted":{"`)
+	i := bytes.Index(data, key)
+	if i < 0 {
+		t.Fatal("no attempted set in the snapshot")
+	}
+	data[i+len(key)] ^= 0x01
+	if err := os.WriteFile(idx, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err := testCampaign().Verify(campaignPaths(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := false
+	for _, f := range rep.Journals[0].Findings {
+		corrupt = corrupt || f.Code == fsck.CodeSnapshotCorrupt
+	}
+	if !corrupt {
+		t.Fatalf("body bit flip not reported as %s: %+v", fsck.CodeSnapshotCorrupt, rep.Journals[0].Findings)
+	}
+	repairAndAssert(t, dir)
+}
+
 // TestRepairSeedSweep flips one journal bit under many seeds — the
 // offset lands in headers, payloads, frame CRCs and gzip members alike —
 // and demands parity after every repair.

@@ -57,10 +57,16 @@ const (
 	maxBodySize          = 4 << 20
 )
 
+// consentCookie is the shared Cookie header value of a consented
+// first-party request; never mutated.
+var consentCookie = []string{"consent=1"}
+
 // Config configures a Browser.
 type Config struct {
-	// Client performs HTTP; typically webserver.(*Server).Client() or a
-	// TCP client. It must not follow redirects itself.
+	// Client supplies the transport and timeout; typically
+	// webserver.(*Server).Client() or a TCP client. The browser calls
+	// Client.Transport directly, follows redirects itself and bounds
+	// each fetch by Client.Timeout (when non-zero).
 	Client *http.Client
 	// Gate is the operational caller check. The paper's crawler runs a
 	// deliberately corrupted gate (attestation.NewCorruptedGate) so that
@@ -155,6 +161,9 @@ func (e *StatusError) ErrorClass() string {
 // engine are shared like in one real browser profile.
 type Browser struct {
 	cfg Config
+	// userAgent and vantage are pre-built request header values, shared
+	// by every request and never mutated.
+	userAgent, vantage []string
 
 	mu      sync.Mutex
 	consent map[string]bool // registrable domain -> consented
@@ -162,7 +171,13 @@ type Browser struct {
 
 // New builds a Browser.
 func New(cfg Config) *Browser {
-	return &Browser{cfg: cfg.withDefaults(), consent: make(map[string]bool)}
+	cfg = cfg.withDefaults()
+	return &Browser{
+		cfg:       cfg,
+		userAgent: []string{cfg.UserAgent},
+		vantage:   []string{cfg.Vantage},
+		consent:   make(map[string]bool),
+	}
 }
 
 // PageVisit is the instrumented result of loading one page.
@@ -392,29 +407,53 @@ func unwrapErr(err error) error {
 // on the request so a retry redraws the chaos injector's fault coin
 // deterministically (the virtual clock is fixed within a page load).
 func (b *Browser) fetchOnce(ctx context.Context, v *PageVisit, u *url.URL, referer string, extra http.Header, attempt int) (*http.Response, string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
-	if err != nil {
-		return nil, "", fmt.Errorf("building request: %w", err)
-	}
-	req.Header.Set("User-Agent", b.cfg.UserAgent)
-	req.Header.Set(VirtualTimeHeader, b.cfg.Now().UTC().Format(time.RFC3339Nano))
-	req.Header.Set(chaos.AttemptHeader, strconv.Itoa(attempt))
-	req.Header.Set(VantageHeader, b.cfg.Vantage)
+	h := make(http.Header, 8)
+	h["User-Agent"] = b.userAgent
+	h[VirtualTimeHeader] = []string{b.cfg.Now().UTC().Format(time.RFC3339Nano)}
+	h[chaos.AttemptHeader] = []string{strconv.Itoa(attempt)}
+	h[VantageHeader] = b.vantage
 	if referer != "" {
-		req.Header.Set("Referer", referer)
+		h["Referer"] = []string{referer}
 	}
 	for k, vals := range extra {
 		for _, val := range vals {
-			req.Header.Add(k, val)
+			h.Add(k, val)
 		}
 	}
 	if b.HasConsent(u.Host) {
-		req.AddCookie(&http.Cookie{Name: "consent", Value: "1"})
+		h["Cookie"] = consentCookie
 	}
 
-	resp, err := b.cfg.Client.Do(req)
+	// The request goes straight to the client's transport: the browser
+	// follows redirects itself, so Client.Do's redirect loop, header
+	// clone and deadline timer buy nothing. What the dataset can see of
+	// Do is kept — Client.Timeout bounds the fetch (body included) and
+	// a failure carries Do's *url.Error text.
+	rt := b.cfg.Client.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	fetchCtx := ctx
+	if timeout := b.cfg.Client.Timeout; timeout > 0 {
+		var cancel context.CancelFunc
+		fetchCtx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	req := (&http.Request{
+		Method:     http.MethodGet,
+		URL:        u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     h,
+		Host:       u.Host,
+	}).WithContext(fetchCtx)
+	resp, err := rt.RoundTrip(req)
 	if err != nil {
-		return nil, "", err
+		if fetchCtx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
+			err = &clientTimeoutError{err.Error() + " (Client.Timeout exceeded while awaiting headers)"}
+		}
+		return nil, "", &url.Error{Op: "Get", URL: u.String(), Err: err}
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodySize))
@@ -426,9 +465,16 @@ func (b *Browser) fetchOnce(ctx context.Context, v *PageVisit, u *url.URL, refer
 	// has its page observation recorded (the header flow of the Topics
 	// fetch integration).
 	if b.cfg.Engine != nil &&
-		req.Header.Get(TopicsRequestHeader) != "" &&
+		h.Get(TopicsRequestHeader) != "" &&
 		strings.HasPrefix(resp.Header.Get(ObserveHeader), "?1") {
 		b.cfg.Engine.Observe(v.visitedSite, etld.RegistrableDomain(etld.Normalize(u.Host)))
 	}
 	return resp, string(body), nil
 }
+
+// clientTimeoutError carries the text http.Client gives a request its
+// Timeout cut short, so TCP-crawl error strings stay as they were.
+type clientTimeoutError struct{ msg string }
+
+func (e *clientTimeoutError) Error() string { return e.msg }
+func (e *clientTimeoutError) Timeout() bool { return true }

@@ -313,6 +313,9 @@ func (c *Crawler) consume(ctx context.Context, list *tranco.List, results <-chan
 		}
 		return false
 	}
+	// One histogram handle per span name, resolved on first sight: the
+	// metric key is rendered once per stage instead of once per span.
+	stageHists := make(map[string]*obs.Histogram)
 	emit := func(sr siteResult, site string) error {
 		if !suppress && siteAborted(sr) {
 			suppress = true
@@ -348,7 +351,12 @@ func (c *Crawler) consume(ctx context.Context, list *tranco.List, results <-chan
 			}
 			if cfg.Metrics != nil {
 				tr.Root.Walk(func(s *obs.Span) {
-					cfg.Metrics.Observe("crawl_stage_seconds", s.Duration(), "stage", s.Name)
+					h := stageHists[s.Name]
+					if h == nil {
+						h = cfg.Metrics.Hist("crawl_stage_seconds", "stage", s.Name)
+						stageHists[s.Name] = h
+					}
+					h.Observe(s.Duration())
 				})
 			}
 			if cfg.Traces != nil {

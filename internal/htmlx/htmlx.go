@@ -236,9 +236,8 @@ func (p *parser) readAttr() (string, string) {
 
 // readRawText consumes until </tag>.
 func (p *parser) readRawText(tag string) string {
-	closing := "</" + tag
 	rest := p.src[p.pos:]
-	idx := strings.Index(strings.ToLower(rest), closing)
+	idx := indexEndTag(rest, tag)
 	if idx < 0 {
 		p.pos = len(p.src)
 		return rest
@@ -247,6 +246,38 @@ func (p *parser) readRawText(tag string) string {
 	p.pos += idx
 	p.readEndTag()
 	return body
+}
+
+// indexEndTag returns the offset of the first "</tag" in s, matching
+// the lowercase ASCII tag name case-insensitively on ASCII letters only,
+// or -1. It neither allocates nor rewrites s, so the offset is always a
+// byte position of s itself.
+func indexEndTag(s, tag string) int {
+	for i := 0; ; i++ {
+		j := strings.IndexByte(s[i:], '<')
+		if j < 0 {
+			return -1
+		}
+		i += j
+		if rest := s[i+1:]; len(rest) > len(tag) && rest[0] == '/' && asciiEqualLower(rest[1:1+len(tag)], tag) {
+			return i
+		}
+	}
+}
+
+// asciiEqualLower reports whether s equals the lowercase ASCII string
+// lower once the ASCII capitals of s are lowered.
+func asciiEqualLower(s, lower string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func (p *parser) skipSpace() {

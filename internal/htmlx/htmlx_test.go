@@ -181,3 +181,49 @@ func TestStrayTopLevelEndTagDoesNotTruncate(t *testing.T) {
 		t.Errorf("stray end tags swallowed content: %d paragraphs", got)
 	}
 }
+
+func TestRawTextEndTag(t *testing.T) {
+	cases := []struct {
+		name, html, body, after string
+	}{
+		{"lowercase", "<script>a()</script><p>x</p>", "a()", "x"},
+		{"uppercase end tag", "<script>a()</SCRIPT><p>x</p>", "a()", "x"},
+		{"mixed case style", "<style>b{}</StYlE ><p>x</p>", "b{}", "x"},
+		{"lookalike tags skipped", "<script>if(a<b)</scrip</scriptx</script><p>x</p>", "if(a<b)</scrip", "x"},
+		{"unterminated", "<script>a()</scr", "a()</scr", ""},
+		// "İ" is 2 bytes but lowercases to 3: an offset taken from a
+		// lowercased copy would land one byte past the end tag.
+		{"non-ASCII before end tag", "<script>var s='İİ'</script><p>x</p>", "var s='İİ'", "x"},
+		{"non-ASCII in a lookalike tag", "<style>a</ſtyle></style><p>x</p>", "a</ſtyle>", "x"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := Parse(tc.html)
+			tag := "script"
+			if strings.HasPrefix(tc.html, "<style") {
+				tag = "style"
+			}
+			raw := doc.FindAll(tag)
+			if len(raw) != 1 || raw[0].Text != tc.body {
+				t.Fatalf("%s body = %q, want %q", tag, firstText(raw), tc.body)
+			}
+			if got := doc.InnerText(); got != tc.after {
+				t.Errorf("text after the element = %q, want %q", got, tc.after)
+			}
+		})
+	}
+}
+
+func firstText(nodes []*Node) string {
+	if len(nodes) == 0 {
+		return "<none>"
+	}
+	return nodes[0].Text
+}
+
+func TestIndexEndTagAllocationFree(t *testing.T) {
+	doc := strings.Repeat("<div>x</div>", 64) + "</SCRIPT>"
+	if allocs := testing.AllocsPerRun(100, func() { indexEndTag(doc, "script") }); allocs != 0 {
+		t.Errorf("indexEndTag allocs/op = %g, want 0", allocs)
+	}
+}

@@ -1,9 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -162,17 +161,19 @@ func metricKey(name string, kv []string) string {
 		pairs = append(pairs, pair{kv[i], kv[i+1]})
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
+	b := make([]byte, 0, 64)
+	b = append(b, name...)
+	b = append(b, '{')
 	for i, p := range pairs {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", p.k, p.v)
+		b = append(b, p.k...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, p.v)
 	}
-	b.WriteByte('}')
-	return b.String()
+	b = append(b, '}')
+	return string(b)
 }
 
 // MetricKey renders the canonical metric key for a name and label

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -115,5 +116,21 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 	}
 	if len(snap.Histograms) != 1 || snap.Histograms[0].Count != workers*per {
 		t.Errorf("histogram snapshot = %+v", snap.Histograms)
+	}
+}
+
+// TestMetricKeyMatchesFmtQuote pins the key rendering to its original
+// fmt.Fprintf("%s=%q") form for label values that need escaping, so
+// /__metrics output and snapshot names stay byte-identical.
+func TestMetricKeyMatchesFmtQuote(t *testing.T) {
+	values := []string{
+		"", "fetch", `say "hi"`, `back\slash`, "tab\there\nnewline",
+		"über-straße", "日本語", "emoji 🙂", "\x00\x7f", "bad utf8 \xff",
+	}
+	for _, v := range values {
+		want := "m{" + fmt.Sprintf("%s=%q", "b", "x") + "," + fmt.Sprintf("%s=%q", "stage", v) + "}"
+		if got := MetricKey("m", "stage", v, "b", "x"); got != want {
+			t.Errorf("MetricKey(stage=%q) = %s, want %s", v, got, want)
+		}
 	}
 }

@@ -1,11 +1,12 @@
 package webserver
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/httptest"
+	"strconv"
 	"time"
 
 	"github.com/netmeasure/topicscope/internal/etld"
@@ -77,11 +78,70 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err := unreachable(t.Server.World, host); err != nil {
 		return nil, err
 	}
-	rec := httptest.NewRecorder()
-	t.Server.ServeHTTP(rec, req)
-	resp := rec.Result()
-	resp.Request = req
-	return resp, nil
+	w := &responseWriter{header: make(http.Header)}
+	t.Server.ServeHTTP(w, req)
+	return w.response(req), nil
+}
+
+// responseWriter is the in-process transport's http.ResponseWriter. It
+// hands the handler's own header map and body to the *http.Response
+// instead of snapshot-cloning them the way httptest.ResponseRecorder
+// does, while keeping net/http's implicit 200 and its Content-Type
+// sniffing for handlers that set none.
+type responseWriter struct {
+	header http.Header
+	body   []byte
+	status int
+}
+
+func (w *responseWriter) Header() http.Header { return w.header }
+
+func (w *responseWriter) WriteHeader(code int) {
+	if w.status == 0 {
+		w.status = code
+	}
+}
+
+func (w *responseWriter) Write(p []byte) (int, error) {
+	if w.status == 0 {
+		if _, ok := w.header["Content-Type"]; !ok && w.header.Get("Transfer-Encoding") == "" {
+			w.header.Set("Content-Type", http.DetectContentType(p))
+		}
+		w.status = http.StatusOK
+	}
+	// Copy: callers such as fmt.Fprint reuse p once Write returns.
+	w.body = append(w.body, p...)
+	return len(p), nil
+}
+
+// bodyReader is a response body over the writer's bytes: one
+// allocation where io.NopCloser(bytes.NewReader(b)) costs two.
+type bodyReader struct{ bytes.Reader }
+
+func newBodyReader(b []byte) *bodyReader {
+	r := &bodyReader{}
+	r.Reset(b)
+	return r
+}
+
+func (*bodyReader) Close() error { return nil }
+
+func (w *responseWriter) response(req *http.Request) *http.Response {
+	status := w.status
+	if status == 0 {
+		status = http.StatusOK
+	}
+	return &http.Response{
+		Status:        strconv.Itoa(status) + " " + http.StatusText(status),
+		StatusCode:    status,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        w.header,
+		Body:          newBodyReader(w.body),
+		ContentLength: -1,
+		Request:       req,
+	}
 }
 
 // Client returns an http.Client wired to the server in-process. Redirects

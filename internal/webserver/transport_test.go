@@ -1,0 +1,162 @@
+package webserver
+
+import (
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"testing"
+
+	"github.com/netmeasure/topicscope/internal/adcatalog"
+	"github.com/netmeasure/topicscope/internal/attestation"
+	"github.com/netmeasure/topicscope/internal/cmpdb"
+	"github.com/netmeasure/topicscope/internal/webworld"
+)
+
+// assertResponseParity compares a transport response with the one
+// httptest.ResponseRecorder builds for the same handler output.
+func assertResponseParity(t *testing.T, got, want *http.Response) {
+	t.Helper()
+	if got.StatusCode != want.StatusCode || got.Status != want.Status {
+		t.Errorf("status %d %q, recorder %d %q", got.StatusCode, got.Status, want.StatusCode, want.Status)
+	}
+	if got.Proto != want.Proto || got.ProtoMajor != want.ProtoMajor || got.ProtoMinor != want.ProtoMinor {
+		t.Errorf("proto %q, recorder %q", got.Proto, want.Proto)
+	}
+	if got.ContentLength != want.ContentLength {
+		t.Errorf("content length %d, recorder %d", got.ContentLength, want.ContentLength)
+	}
+	if !reflect.DeepEqual(got.Header, want.Header) {
+		t.Errorf("header %v, recorder %v", got.Header, want.Header)
+	}
+	gb, err := io.ReadAll(got.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, _ := io.ReadAll(want.Body)
+	if string(gb) != string(wb) {
+		t.Errorf("body %q, recorder %q", gb, wb)
+	}
+}
+
+// TestTransportMatchesRecorder checks the in-process transport's
+// response writer against httptest.ResponseRecorder for one request to
+// every endpoint kind of the synthetic web.
+func TestTransportMatchesRecorder(t *testing.T) {
+	srv := New(testWorld, testClock)
+	tr := &Transport{Server: srv}
+	plain := pickSite(t, func(s *webworld.Site) bool { return s.RedirectTo == "" && s.OtherLibTopicsCall })
+	redirecting := pickSite(t, func(s *webworld.Site) bool { return s.RedirectTo != "" })
+	gtm := pickSite(t, func(s *webworld.Site) bool { return s.RedirectTo == "" && s.HasGTM && s.GTMTopicsCall })
+	var unattested *adcatalog.Platform
+	for _, p := range testWorld.Catalog.All() {
+		if !p.Attested {
+			unattested = p
+			break
+		}
+	}
+	if unattested == nil {
+		t.Fatal("no unattested platform in the test world")
+	}
+	longTail := pickSite(t, func(s *webworld.Site) bool { return len(s.LongTail) > 0 }).LongTail[0]
+	cmp := cmpdb.All()[0].Domain
+	topics := map[string]string{TopicsRequestHeader: "(1 2);v=chrome.1:1:2"}
+
+	cases := []struct {
+		name, url string
+		hdr       map[string]string
+		status    int
+	}{
+		{"landing page", "http://" + plain.Domain + "/", nil, http.StatusOK},
+		{"landing page consented", "http://" + plain.Domain + "/", map[string]string{"Cookie": consentToken}, http.StatusOK},
+		{"sister 301", "http://" + redirecting.Domain + "/", nil, http.StatusMovedPermanently},
+		{"static css", "http://" + plain.Domain + "/static/0.css", nil, http.StatusOK},
+		{"static js", "http://" + plain.Domain + "/static/1.js", nil, http.StatusOK},
+		{"static pixel", "http://" + plain.Domain + "/static/2.png", nil, http.StatusOK},
+		{"ads lib", "http://" + plain.Domain + "/js/ads-lib.js", nil, http.StatusOK},
+		{"privacy", "http://" + plain.Domain + "/privacy", nil, http.StatusOK},
+		{"site 404", "http://" + plain.Domain + "/nope", nil, http.StatusNotFound},
+		{"tag.js", "http://criteo.com/tag.js", map[string]string{"Referer": "http://" + plain.Domain + "/"}, http.StatusOK},
+		{"topics frame", "http://criteo.com/topics-frame.html", nil, http.StatusOK},
+		{"ad frame", "http://criteo.com/ad.html", nil, http.StatusOK},
+		{"ad frame with topics", "http://criteo.com/ad.html", topics, http.StatusOK},
+		{"fetch beacon", "http://criteo.com/t", nil, http.StatusNoContent},
+		{"fetch beacon with topics", "http://criteo.com/t", topics, http.StatusNoContent},
+		{"pixel", "http://criteo.com/px.gif", nil, http.StatusOK},
+		{"attestation", "http://criteo.com" + attestation.WellKnownPath, nil, http.StatusOK},
+		{"attestation missing", "http://" + unattested.Domain + attestation.WellKnownPath, nil, http.StatusNotFound},
+		{"platform 404", "http://criteo.com/nope", nil, http.StatusNotFound},
+		{"cmp loader", "http://" + cmp + "/consent.js", nil, http.StatusOK},
+		{"cmp css", "http://" + cmp + "/banner.css", nil, http.StatusOK},
+		{"cmp 404", "http://" + cmp + "/nope", nil, http.StatusNotFound},
+		{"gtm", "http://" + webworld.GTMDomain + "/gtm.js?id=GTM-1", map[string]string{"Referer": "http://" + gtm.Domain + "/"}, http.StatusOK},
+		{"gtm inert", "http://" + webworld.GTMDomain + "/gtm.js?id=GTM-1", nil, http.StatusOK},
+		{"gtm 404", "http://" + webworld.GTMDomain + "/nope", nil, http.StatusNotFound},
+		{"long-tail js", "http://" + longTail + "/w.js", nil, http.StatusOK},
+		{"long-tail gif", "http://" + longTail + "/p.gif", nil, http.StatusOK},
+		{"long-tail other", "http://" + longTail + "/x", nil, http.StatusOK},
+		{"unknown host", "http://unknown-host.invalid/", nil, http.StatusNotFound},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			newReq := func() *http.Request {
+				req := httptest.NewRequest(http.MethodGet, tc.url, nil)
+				for k, v := range tc.hdr {
+					req.Header.Set(k, v)
+				}
+				req.Header.Set(VirtualTimeHeader, testClock().Format("2006-01-02T15:04:05Z07:00"))
+				return req
+			}
+			req := newReq()
+			got, err := tr.RoundTrip(req)
+			if err != nil {
+				t.Fatalf("RoundTrip: %v", err)
+			}
+			if got.StatusCode != tc.status {
+				t.Errorf("status %d, want %d", got.StatusCode, tc.status)
+			}
+			if got.Request != req {
+				t.Error("response does not point back at its request")
+			}
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, newReq())
+			assertResponseParity(t, got, rec.Result())
+		})
+	}
+}
+
+// TestResponseWriterNetHTTPSemantics drives the writer with handlers
+// that lean on net/http's implicit behaviour — no WriteHeader, no
+// Content-Type, a reused write buffer — and compares with the recorder.
+func TestResponseWriterNetHTTPSemantics(t *testing.T) {
+	handlers := map[string]http.HandlerFunc{
+		"empty":        func(http.ResponseWriter, *http.Request) {},
+		"sniffed html": func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "<html><body>x</body></html>") },
+		"sniffed gif":  func(w http.ResponseWriter, _ *http.Request) { w.Write([]byte("GIF89a\x01\x00\x01\x00")) },
+		"sniffed text": func(w http.ResponseWriter, _ *http.Request) { fmt.Fprint(w, "plain words") },
+		"explicit code": func(w http.ResponseWriter, _ *http.Request) {
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprint(w, "<html>")
+		},
+		"reused buffer": func(w http.ResponseWriter, _ *http.Request) {
+			for i := 0; i < 3; i++ {
+				fmt.Fprintf(w, "line %d\n", i)
+			}
+		},
+		"second WriteHeader ignored": func(w http.ResponseWriter, _ *http.Request) {
+			w.WriteHeader(http.StatusTeapot)
+			w.WriteHeader(http.StatusOK)
+		},
+	}
+	for name, h := range handlers {
+		t.Run(name, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodGet, "http://example.com/", nil)
+			w := &responseWriter{header: make(http.Header)}
+			h(w, req)
+			rec := httptest.NewRecorder()
+			h(rec, req)
+			assertResponseParity(t, w.response(req), rec.Result())
+		})
+	}
+}

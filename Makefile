@@ -100,6 +100,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTraceDecode -fuzztime=10s ./internal/obs/
 	$(GO) test -fuzz=FuzzCompletedSites -fuzztime=10s ./internal/dataset/
 	$(GO) test -fuzz=FuzzReadVisits -fuzztime=10s ./internal/dataset/
+	$(GO) test -fuzz=FuzzDecodeVisit -fuzztime=10s ./internal/dataset/
 	$(GO) test -fuzz=FuzzScanRecords -fuzztime=10s ./internal/durable/
 	$(GO) test -fuzz=FuzzManifestDecode -fuzztime=10s ./internal/durable/
 	$(GO) test -fuzz=FuzzFrameIndexDecode -fuzztime=10s ./internal/durable/

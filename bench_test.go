@@ -19,6 +19,7 @@ import (
 
 	"github.com/netmeasure/topicscope"
 	"github.com/netmeasure/topicscope/internal/analysis"
+	"github.com/netmeasure/topicscope/internal/dataset"
 )
 
 const benchSites = 3000
@@ -472,7 +473,8 @@ func BenchmarkCrawlScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkDatasetIO measures JSONL encode+decode of crawl records.
+// BenchmarkDatasetIO measures JSONL encoding of crawl records;
+// BenchmarkDatasetDecode is the decode half.
 func BenchmarkDatasetIO(b *testing.B) {
 	_, res := benchInput(b)
 	data := res.Data
@@ -490,6 +492,35 @@ func BenchmarkDatasetIO(b *testing.B) {
 		}
 		if i == 0 {
 			b.ReportMetric(float64(buf.Len())/1024/1024, "MB")
+		}
+	}
+}
+
+// BenchmarkDatasetDecode measures reading the bytes BenchmarkDatasetIO
+// writes back through dataset.Read.
+func BenchmarkDatasetDecode(b *testing.B) {
+	_, res := benchInput(b)
+	var buf bytes.Buffer
+	w := topicscope.NewDatasetWriter(&buf)
+	for j := range res.Data.Visits {
+		if err := w.Write(&res.Data.Visits[j]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		if err := dataset.Read(bytes.NewReader(buf.Bytes()), func(*dataset.Visit) error {
+			n++
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		if n != res.Data.Len() {
+			b.Fatalf("read %d records, wrote %d", n, res.Data.Len())
 		}
 	}
 }

@@ -731,7 +731,7 @@ func LoadLiveIndex(journalPath string, in *Input) (*LiveIndex, *LiveStats, error
 	defer rc.Close()
 	scan, err := durable.ScanRecords(rc, func(payload []byte) error {
 		var v dataset.Visit
-		if uerr := json.Unmarshal(payload, &v); uerr != nil {
+		if uerr := dataset.DecodeVisit(payload, &v); uerr != nil {
 			return fmt.Errorf("analysis: decoding journal record: %w", uerr)
 		}
 		live.Fold(&v)
@@ -842,7 +842,7 @@ func foldJournalPrefix(journalPath string, in *Input, records int64, st *LiveSta
 			return nil
 		}
 		var v dataset.Visit
-		if uerr := json.Unmarshal(payload, &v); uerr != nil {
+		if uerr := dataset.DecodeVisit(payload, &v); uerr != nil {
 			return fmt.Errorf("analysis: decoding journal record: %w", uerr)
 		}
 		live.Fold(&v)

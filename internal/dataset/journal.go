@@ -120,11 +120,14 @@ func CreateJournal(path string, opts JournalOptions) (*JournalWriter, error) {
 // everything from there on is treated as a torn tail.
 var errCorrupt = errors.New("dataset: corrupt record")
 
-// tailGroup is one site's record group salvaged from the journal tail.
+// tailGroup is one site's record group salvaged from the journal tail:
+// each record's payload, re-appended on repair, and its decoded Visit,
+// replayed to the observer.
 type tailGroup struct {
 	site     string
 	rank     int
 	payloads [][]byte
+	visits   []Visit
 	complete bool
 }
 
@@ -173,7 +176,7 @@ func ResumeJournal(path string, opts JournalOptions) (*JournalWriter, *ResumeSta
 	var groups []*tailGroup
 	scan, err := durable.ScanRecords(rc, func(payload []byte) error {
 		var v Visit
-		if uerr := json.Unmarshal(payload, &v); uerr != nil {
+		if uerr := DecodeVisit(payload, &v); uerr != nil {
 			return errCorrupt
 		}
 		g := (*tailGroup)(nil)
@@ -185,6 +188,7 @@ func ResumeJournal(path string, opts JournalOptions) (*JournalWriter, *ResumeSta
 			groups = append(groups, g)
 		}
 		g.payloads = append(g.payloads, append([]byte(nil), payload...))
+		g.visits = append(g.visits, v)
 		g.complete = groupComplete(&v)
 		return nil
 	})
@@ -239,18 +243,13 @@ func ResumeJournal(path string, opts JournalOptions) (*JournalWriter, *ResumeSta
 		w.fidx = fi
 	}
 	for _, g := range kept {
-		for _, p := range g.payloads {
+		for i, p := range g.payloads {
 			if err := j.Append(p); err != nil {
 				j.Close()
 				return nil, nil, err
 			}
 			if opts.Observer != nil {
-				var v Visit
-				if uerr := json.Unmarshal(p, &v); uerr != nil {
-					j.Close()
-					return nil, nil, fmt.Errorf("dataset: replaying salvaged record: %w", uerr)
-				}
-				opts.Observer.ObserveVisit(&v)
+				opts.Observer.ObserveVisit(&g.visits[i])
 			}
 		}
 		w.noteCompleted(g.rank, g.site)

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"github.com/netmeasure/topicscope/internal/durable"
 )
 
 // frameHeaderPrefix marks durable record-frame header lines; JSON
@@ -48,46 +50,72 @@ func (w *Writer) Flush() error {
 }
 
 // Read streams visit records from a JSONL stream into fn; it stops on
-// the first malformed line or when fn returns an error. Record-frame
-// header lines (`#r <len> <crc>`, written by the durable journal) are
-// skipped, so framed and legacy unframed files read identically.
+// the first malformed line or when fn returns an error. A record-frame
+// header line (`#r <len> <crc>`, written by the durable journal) is
+// checked against the line after it: a length or CRC-32C mismatch, or
+// a header with no line after it, is an error, so a corrupt record in
+// an uncompressed journal cannot parse its way into a report. Legacy
+// unframed lines read as plain JSONL.
 func Read(r io.Reader, fn func(*Visit) error) error {
+	return readRecords(r, func() *Visit { return new(Visit) }, fn)
+}
+
+// Load reads an entire JSONL stream into memory, decoding each record
+// straight into its slot in the dataset.
+func Load(r io.Reader) (*Dataset, error) {
+	d := &Dataset{}
+	err := readRecords(r, func() *Visit {
+		d.Visits = append(d.Visits, Visit{})
+		return &d.Visits[len(d.Visits)-1]
+	}, func(*Visit) error { return nil })
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// readRecords is Read with each record decoded into the Visit slot
+// returns.
+func readRecords(r io.Reader, slot func() *Visit, fn func(*Visit) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	line := 0
+	var header []byte // the pending frame header, copied off the scanner's buffer
+	line, headerLine := 0, 0
 	for sc.Scan() {
 		line++
-		if len(sc.Bytes()) == 0 {
+		b := sc.Bytes()
+		switch {
+		case headerLine > 0:
+			if !durable.FrameMatches(header, b) {
+				return frameMismatch(headerLine)
+			}
+			headerLine = 0
+		case bytes.HasPrefix(b, frameHeaderPrefix):
+			header = append(header[:0], b...)
+			headerLine = line
+			continue
+		case len(b) == 0:
 			continue
 		}
-		if bytes.HasPrefix(sc.Bytes(), frameHeaderPrefix) {
-			continue
-		}
-		var v Visit
-		if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
+		v := slot()
+		if err := DecodeVisit(b, v); err != nil {
 			return fmt.Errorf("dataset: line %d: %w", line, err)
 		}
-		if err := fn(&v); err != nil {
+		if err := fn(v); err != nil {
 			return err
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("dataset: scanning: %w", err)
 	}
+	if headerLine > 0 {
+		return frameMismatch(headerLine)
+	}
 	return nil
 }
 
-// Load reads an entire JSONL stream into memory.
-func Load(r io.Reader) (*Dataset, error) {
-	d := &Dataset{}
-	err := Read(r, func(v *Visit) error {
-		d.Visits = append(d.Visits, *v)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
+func frameMismatch(line int) error {
+	return fmt.Errorf("dataset: line %d: frame length/CRC mismatch (run topics-fsck)", line)
 }
 
 // LoadFile loads a JSONL dataset from disk (.gz transparently).

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -79,7 +78,7 @@ func ReadRankRange(path string, fromRank int, fn func(*Visit) error) (*RangeStat
 	st.SeekOffset = entry.Offset
 	return readRange(path, entry.Offset, st, func(payload []byte) error {
 		var v Visit
-		if err := json.Unmarshal(payload, &v); err != nil {
+		if err := DecodeVisit(payload, &v); err != nil {
 			return fmt.Errorf("dataset: decoding record: %w", err)
 		}
 		if v.Rank < fromRank {
@@ -93,7 +92,7 @@ func ReadRankRange(path string, fromRank int, fn func(*Visit) error) (*RangeStat
 
 func deliverVisit(payload []byte, st *RangeStats, fn func(*Visit) error) error {
 	var v Visit
-	if err := json.Unmarshal(payload, &v); err != nil {
+	if err := DecodeVisit(payload, &v); err != nil {
 		return fmt.Errorf("dataset: decoding record: %w", err)
 	}
 	st.Records++

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"encoding/json"
 	"errors"
 	"os"
 
@@ -38,7 +37,7 @@ func CompletedSitesObserved(path string, reg *obs.Registry) (map[string]bool, er
 	corrupt := false
 	st, err := durable.ScanRecords(rc, func(payload []byte) error {
 		var v Visit
-		if uerr := json.Unmarshal(payload, &v); uerr != nil {
+		if uerr := DecodeVisit(payload, &v); uerr != nil {
 			// First undecodable record: everything after it is the
 			// corrupt tail. Stop, keep what we have.
 			return errCorrupt

@@ -63,6 +63,15 @@ func parseFrameHeader(line []byte) (length int, crc uint32, ok bool) {
 	return int(n), uint32(c), true
 }
 
+// FrameMatches reports whether header is a well-formed `#r <len> <crc>`
+// frame header (without its newline) whose length and CRC-32C match
+// payload — the check ScanRecords applies, for readers that split lines
+// themselves.
+func FrameMatches(header, payload []byte) bool {
+	n, crc, ok := parseFrameHeader(header)
+	return ok && n == len(payload) && crc32.Checksum(payload, castagnoli) == crc
+}
+
 // ScanStats reports what a salvaging scan recovered and where (and why)
 // it stopped.
 type ScanStats struct {

@@ -24,7 +24,6 @@ package fsck
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -199,7 +198,7 @@ func scanSegment(seg []byte, compressed bool, prevRank int) *segScan {
 	}
 	scan, err := durable.ScanRecords(r, func(payload []byte) error {
 		var v dataset.Visit
-		if uerr := json.Unmarshal(payload, &v); uerr != nil {
+		if uerr := dataset.DecodeVisit(payload, &v); uerr != nil {
 			out.reason = "undecodable record"
 			return errDefect
 		}

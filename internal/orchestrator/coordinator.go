@@ -2,7 +2,6 @@ package orchestrator
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -308,7 +307,7 @@ func (c Campaign) Run(ctx context.Context) (*Result, error) {
 	parts := make([][]dataset.Visit, len(specs))
 	mergeStats, err := MergeJournals(c.OutputPath, shardPaths, c.Metrics, func(shard int, payload []byte) error {
 		var v dataset.Visit
-		if err := json.Unmarshal(payload, &v); err != nil {
+		if err := dataset.DecodeVisit(payload, &v); err != nil {
 			return fmt.Errorf("orchestrator: decoding visit from shard %d: %w", shard, err)
 		}
 		parts[shard] = append(parts[shard], v)

@@ -13,7 +13,8 @@
 // Every Compute* function answers from a shared analysis Index (see
 // index.go) that aggregates the dataset in one parallel sharded pass;
 // the first query builds it, later ones reuse it. The pre-index
-// full-scan implementations live in legacy.go as the parity reference.
+// full-scan implementations are kept in legacy_test.go as the parity
+// reference.
 package analysis
 
 import (
@@ -22,7 +23,6 @@ import (
 	"github.com/netmeasure/topicscope/internal/attestation"
 	"github.com/netmeasure/topicscope/internal/dataset"
 	"github.com/netmeasure/topicscope/internal/durable"
-	"github.com/netmeasure/topicscope/internal/etld"
 	"github.com/netmeasure/topicscope/internal/obs"
 )
 
@@ -53,15 +53,4 @@ type Input struct {
 func (in *Input) Index() *Index {
 	in.indexOnce.Do(func() { in.index = BuildIndex(in) })
 	return in.index
-}
-
-// allowed reports whether a caller is on the allow-list.
-func (in *Input) allowed(caller string) bool {
-	return in.Allowlist != nil && in.Allowlist.Contains(caller)
-}
-
-// attested reports whether a caller serves a valid Topics attestation.
-func (in *Input) attested(caller string) bool {
-	rec, ok := in.Attestations[etld.RegistrableDomain(caller)]
-	return ok && rec.Attested()
 }

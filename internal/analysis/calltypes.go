@@ -91,3 +91,15 @@ func (ct *CallTypes) Render() string {
 	b.WriteString(strings.Join(parts, " ") + "\n")
 	return b.String()
 }
+
+// dominantType picks a CP's most-used call type, ties broken by the
+// AllCallTypes display order.
+func dominantType(m map[dataset.CallType]int) dataset.CallType {
+	best, bestN := dataset.CallJavaScript, -1
+	for _, typ := range AllCallTypes {
+		if m[typ] > bestN {
+			best, bestN = typ, m[typ]
+		}
+	}
+	return best
+}

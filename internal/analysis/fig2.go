@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"github.com/netmeasure/topicscope/internal/dataset"
@@ -68,4 +69,19 @@ func (f *Figure2) Render() string {
 	b.WriteByte('\n')
 	b.WriteString(chart.Render())
 	return b.String()
+}
+
+// sortFigure2 orders rows with a total order (presence desc, CP asc) and
+// truncates to topN; the reference scan in legacy_test.go sorts with it
+// too, so both produce byte-identical output.
+func sortFigure2(f *Figure2, topN int) {
+	sort.Slice(f.Rows, func(i, j int) bool {
+		if f.Rows[i].Present != f.Rows[j].Present {
+			return f.Rows[i].Present > f.Rows[j].Present
+		}
+		return f.Rows[i].CP < f.Rows[j].CP
+	})
+	if topN > 0 && len(f.Rows) > topN {
+		f.Rows = f.Rows[:topN]
+	}
 }

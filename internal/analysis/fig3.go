@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"sort"
 	"strings"
 
 	"github.com/netmeasure/topicscope/internal/dataset"
@@ -115,4 +116,18 @@ func (f *Figure3) Render() string {
 	b.WriteString(t.Render())
 	b.WriteString("clustered on canonical fractions: " + stats.Pct(f.ClusteredShare()) + "\n")
 	return b.String()
+}
+
+// sortFigure3 orders rows with a total order (rate desc, CP asc) and
+// truncates to topN, as sortFigure2 does.
+func sortFigure3(f *Figure3, topN int) {
+	sort.Slice(f.Rows, func(i, j int) bool {
+		if f.Rows[i].Rate != f.Rows[j].Rate {
+			return f.Rows[i].Rate > f.Rows[j].Rate
+		}
+		return f.Rows[i].CP < f.Rows[j].CP
+	})
+	if topN > 0 && len(f.Rows) > topN {
+		f.Rows = f.Rows[:topN]
+	}
 }

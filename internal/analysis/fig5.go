@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"sort"
 	"strconv"
 	"strings"
 
@@ -72,4 +73,18 @@ func (f *Figure5) Render() string {
 	b.WriteString(chart.Render())
 	b.WriteString("total questionable A&A CPs: " + strconv.Itoa(f.TotalQuestionableCPs) + "\n")
 	return b.String()
+}
+
+// sortFigure5 orders rows with a total order (sites desc, CP asc) and
+// truncates to topN, as sortFigure2 does.
+func sortFigure5(f *Figure5, topN int) {
+	sort.Slice(f.Rows, func(i, j int) bool {
+		if f.Rows[i].Sites != f.Rows[j].Sites {
+			return f.Rows[i].Sites > f.Rows[j].Sites
+		}
+		return f.Rows[i].CP < f.Rows[j].CP
+	})
+	if topN > 0 && len(f.Rows) > topN {
+		f.Rows = f.Rows[:topN]
+	}
 }

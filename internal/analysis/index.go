@@ -11,10 +11,12 @@ import (
 	"github.com/netmeasure/topicscope/internal/stats"
 )
 
-// Index holds every aggregate the experiments query, built in one
-// parallel sharded pass over the dataset. Worker goroutines each consume
-// a contiguous stripe of visits into a private indexShard; the shards
-// then merge into one Index.
+// Index holds every aggregate the experiments query: a LiveIndex
+// accumulator, folded from the visit records and finalized against the
+// campaign's allow-list and attestation checks. Every route to an Index
+// — the striped batch fold (BuildIndex), the merge of shard partials
+// (MergeShardIndexes) and the live fold (LiveIndex.Snapshot) — ends in
+// the one LiveIndex.finalize.
 //
 // Determinism invariant: every per-shard aggregate is either a counter
 // (merge = addition), a set (merge = union), or a max — all commutative
@@ -22,7 +24,8 @@ import (
 // sort with a total order (count desc, name asc tie-break). The merged
 // Index, and hence every table and figure, is therefore byte-identical
 // regardless of GOMAXPROCS or stripe boundaries. The parity test in
-// index_test.go checks this against the sequential legacy scan.
+// index_test.go checks this against the sequential reference scan in
+// legacy_test.go.
 //
 // All hostname splitting goes through one etld.Cache, so each distinct
 // hostname is normalized and split into eTLD+1/TLD/region exactly once
@@ -33,7 +36,7 @@ type Index struct {
 
 	// called[phase][caller] is the set of sites where the caller invoked
 	// the API, over all visits of the phase (failed ones included, as in
-	// the legacy calledOn scan).
+	// the reference calledOn scan).
 	called map[dataset.Phase]map[string]siteSet
 	// present[phase][registrable domain] is the set of sites embedding a
 	// non-failed resource of that domain, over successful visits.
@@ -92,40 +95,31 @@ type rankCount struct {
 
 // BuildIndex aggregates the dataset with one worker per CPU.
 func BuildIndex(in *Input) *Index {
-	return buildIndex(in, runtime.GOMAXPROCS(0))
+	return foldStriped(in, runtime.GOMAXPROCS(0)).finalize(in)
 }
 
-// buildIndex is the worker-count-explicit core, separated so tests can
-// prove the output is independent of the worker count.
-func buildIndex(in *Input, workers int) *Index {
+// foldStriped folds the input's visits into one accumulator: each worker
+// goroutine folds a contiguous stripe into a private accumulator over a
+// shared etld cache, and the stripes then absorb into the first. The
+// worker count is explicit so tests can prove the result independent of
+// it.
+func foldStriped(in *Input, workers int) *LiveIndex {
 	visits := in.Data.Visits
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(visits) {
-		workers = len(visits)
-	}
-	if workers == 0 {
-		workers = 1
-	}
-
+	workers = max(1, min(workers, len(visits)))
 	cache := etld.NewCache()
-	shards := make([]*indexShard, workers)
+	stripes := make([]*LiveIndex, workers)
 	var wg sync.WaitGroup
 	stripe := (len(visits) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		s := newIndexShard(in, cache)
-		shards[w] = s
+	for w := range stripes {
+		s := newLiveIndex(in, cache)
+		stripes[w] = s
 		lo := w * stripe
-		hi := lo + stripe
-		if hi > len(visits) {
-			hi = len(visits)
-		}
+		hi := min(lo+stripe, len(visits))
 		wg.Add(1)
-		go func(s *indexShard, lo, hi int) {
+		go func(s *LiveIndex, lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				s.add(&visits[i])
+				s.Fold(&visits[i])
 			}
 		}(s, lo, hi)
 	}
@@ -133,26 +127,34 @@ func buildIndex(in *Input, workers int) *Index {
 	in.Metrics.Add("analysis_visits_indexed_total", int64(len(visits)))
 	in.Metrics.Add("analysis_index_shards_total", int64(workers))
 
-	agg := shards[0]
-	for _, s := range shards[1:] {
+	agg := stripes[0]
+	for _, s := range stripes[1:] {
 		agg.absorb(s)
 	}
-
-	idx := &Index{
-		etld:    cache,
-		called:  agg.called,
-		present: agg.present,
-		callers: agg.callers,
-	}
-	idx.finalize(in, agg)
-	return idx
+	return agg
 }
 
-// indexShard accumulates one stripe of visits. Every field merges
-// commutatively (see the Index determinism invariant).
-type indexShard struct {
+// LiveIndex is the analysis index before finalize: the accumulator
+// every Index is folded into. Fold adds one visit record; absorb merges
+// another accumulator. Every field merges commutatively (see the Index
+// determinism invariant), so the striped batch fold, per-shard partials
+// merged in any order, and a fold fed one committed record at a time as
+// the crawler emits them all reach the same accumulator — the
+// incremental-parity test pins that for every prefix of a campaign.
+//
+// Folding bakes in only the allow-list half of each caller's
+// classification; finalize resolves attestation against whatever Input
+// it is given (see callerFacts), so an accumulator can fold while the
+// campaign runs, long before the attestation sweep exists.
+//
+// Not safe for concurrent use: the crawler's rank-ordered sink is a
+// single goroutine, which is exactly what makes one-at-a-time folding
+// deterministic for free; the striped fold gives each worker its own.
+type LiveIndex struct {
 	in    *Input
 	cache *etld.Cache
+	// visits counts the records folded in, directly or by absorb.
+	visits int
 
 	called  map[dataset.Phase]map[string]siteSet
 	present map[dataset.Phase]map[string]siteSet
@@ -199,8 +201,15 @@ type indexShard struct {
 	epochs map[int]*epochCount
 }
 
-func newIndexShard(in *Input, cache *etld.Cache) *indexShard {
-	return &indexShard{
+// NewLiveIndex returns an empty accumulator with its own etld cache. The
+// input needs only the allow-list (classification) and optionally
+// Metrics; Attestations may be nil — they are resolved at finalize.
+func NewLiveIndex(in *Input) *LiveIndex { return newLiveIndex(in, etld.NewCache()) }
+
+// newLiveIndex returns an empty accumulator interning hostnames in
+// cache, which the stripes of one fold share.
+func newLiveIndex(in *Input, cache *etld.Cache) *LiveIndex {
+	return &LiveIndex{
 		in:    in,
 		cache: cache,
 		called: map[dataset.Phase]map[string]siteSet{
@@ -236,7 +245,7 @@ func newIndexShard(in *Input, cache *etld.Cache) *indexShard {
 // classify memoizes the allow-list membership per distinct caller. Only
 // the allowed bit is known at fold time; finalize resolves attested from
 // the post-crawl attestation sweep (see callerFacts).
-func (s *indexShard) classify(caller string) callerFacts {
+func (s *LiveIndex) classify(caller string) callerFacts {
 	if f, ok := s.callers[caller]; ok {
 		return f
 	}
@@ -256,12 +265,13 @@ func phaseSets(m map[dataset.Phase]map[string]siteSet, p dataset.Phase) map[stri
 	return sets
 }
 
-// add folds one visit into the shard: a single pass over its resources
-// and calls feeds every experiment's aggregate at once. Each branch
-// replicates the exact phase/success filter of the corresponding legacy
-// scan (legacy.go) — the filters differ per experiment on purpose, and
+// Fold adds one visit record: a single pass over its resources and calls
+// feeds every experiment's aggregate at once. Each branch replicates the
+// exact phase/success filter of the corresponding reference scan
+// (legacy_test.go) — the filters differ per experiment on purpose, and
 // the parity test depends on matching them bit for bit.
-func (s *indexShard) add(v *dataset.Visit) {
+func (s *LiveIndex) Fold(v *dataset.Visit) {
+	s.visits++
 	ba := v.Phase == dataset.BeforeAccept
 	aa := v.Phase == dataset.AfterAccept
 	s.retries += v.Retries
@@ -462,9 +472,11 @@ func (s *indexShard) add(v *dataset.Visit) {
 	}
 }
 
-// absorb merges another shard into s. Every operation is commutative, so
-// the merge order cannot influence the result.
-func (s *indexShard) absorb(o *indexShard) {
+// absorb merges another accumulator into s, sharing (not copying) the
+// maps s lacks, so o must not be folded afterwards. Every operation is
+// commutative, so the merge order cannot influence the result.
+func (s *LiveIndex) absorb(o *LiveIndex) {
+	s.visits += o.visits
 	for phase, sets := range o.called {
 		mergeSiteSets(phaseSets(s.called, phase), sets)
 	}
@@ -588,9 +600,20 @@ func addCounter(dst, src stats.Counter) {
 	}
 }
 
-// finalize assembles the parameterless experiment results from the
-// merged aggregates, matching the legacy computations field for field.
-func (idx *Index) finalize(in *Input, agg *indexShard) {
+// finalize assembles the Index from the accumulator: it resolves the
+// attestation half of the caller classification and computes the
+// parameterless experiment results, matching the reference scans field
+// for field. The Index takes over the accumulator's maps (and writes the
+// attestation facts into its caller map), so the accumulator must not be
+// folded afterwards; Snapshot finalizes a clone instead.
+func (s *LiveIndex) finalize(in *Input) *Index {
+	idx := &Index{
+		etld:    s.cache,
+		called:  s.called,
+		present: s.present,
+		callers: s.callers,
+	}
+
 	// Resolve the attestation half of every caller's classification.
 	// Folding recorded only the allow-list bit (the attestation sweep
 	// happens after the crawl — a live index folds long before the
@@ -638,43 +661,43 @@ func (idx *Index) finalize(in *Input, agg *indexShard) {
 	// Overview. The "legit call" site set is the union of the successful
 	// After-Accept call sites of the allowed callers that turned out
 	// attested — the same aa && allowed && success && attested condition
-	// the legacy scan applies per call, regrouped by caller so the
+	// the reference scan applies per call, regrouped by caller so the
 	// attested factor could wait for the sweep.
 	daaSitesWithCall := make(siteSet)
-	for caller, sites := range agg.aaLegitCalled {
+	for caller, sites := range s.aaLegitCalled {
 		if idx.callers[caller].attested {
 			unionSet(daaSitesWithCall, sites)
 		}
 	}
 	idx.overview = Overview{
-		Attempted:          len(agg.attempted),
-		Visited:            len(agg.visited),
-		Accepted:           len(agg.accepted),
-		AcceptShare:        stats.Share(len(agg.accepted), len(agg.visited)),
-		UniqueThirdParties: len(agg.thirdParties),
-		BannersFound:       agg.banners,
+		Attempted:          len(s.attempted),
+		Visited:            len(s.visited),
+		Accepted:           len(s.accepted),
+		AcceptShare:        stats.Share(len(s.accepted), len(s.visited)),
+		UniqueThirdParties: len(s.thirdParties),
+		BannersFound:       s.banners,
 		SitesWithLegitCall: len(daaSitesWithCall),
-		LegitCallShare:     stats.Share(len(daaSitesWithCall), len(agg.daaSites)),
+		LegitCallShare:     stats.Share(len(daaSitesWithCall), len(s.daaSites)),
 	}
 
 	// Reliability, deciles reassembled from the per-rank counts now that
 	// the global max rank is known.
 	r := Reliability{
-		Attempted:     agg.relAttempted,
-		Succeeded:     agg.relSucceeded,
-		Failed:        agg.relFailed,
-		SuccessRate:   stats.Share(agg.relSucceeded, agg.relAttempted),
-		ByClass:       agg.byClass,
-		Retries:       agg.retries,
-		PartialVisits: agg.partialVisits,
-		CircuitOpens:  agg.circuitOpens,
+		Attempted:     s.relAttempted,
+		Succeeded:     s.relSucceeded,
+		Failed:        s.relFailed,
+		SuccessRate:   stats.Share(s.relSucceeded, s.relAttempted),
+		ByClass:       s.byClass,
+		Retries:       s.retries,
+		PartialVisits: s.partialVisits,
+		CircuitOpens:  s.circuitOpens,
 	}
 	deciles := make([]ReliabilityDecile, 10)
 	for i := range deciles {
 		deciles[i].Decile = i + 1
 	}
-	for rank, rc := range agg.ranks {
-		d := &deciles[decileOf(rank, agg.maxRank)]
+	for rank, rc := range s.ranks {
+		d := &deciles[decileOf(rank, s.maxRank)]
 		d.Attempted += rc.attempted
 		d.Succeeded += rc.succeeded
 	}
@@ -688,52 +711,52 @@ func (idx *Index) finalize(in *Input, agg *indexShard) {
 
 	// Anomaly.
 	idx.anomaly = Anomaly{
-		UniqueCPs:            len(agg.anomCPs),
-		Calls:                agg.anomCalls,
-		SameSecondLevel:      agg.sameSLD,
-		SameSecondLevelShare: stats.Share(agg.sameSLD, agg.anomCalls),
-		JavaScriptShare:      stats.Share(agg.jsCalls, agg.anomCalls),
-		AnomalousSites:       len(agg.anomSites),
-		SitesWithGTM:         len(agg.gtmSites),
-		GTMShare:             stats.Share(len(agg.gtmSites), len(agg.anomSites)),
+		UniqueCPs:            len(s.anomCPs),
+		Calls:                s.anomCalls,
+		SameSecondLevel:      s.sameSLD,
+		SameSecondLevelShare: stats.Share(s.sameSLD, s.anomCalls),
+		JavaScriptShare:      stats.Share(s.jsCalls, s.anomCalls),
+		AnomalousSites:       len(s.anomSites),
+		SitesWithGTM:         len(s.gtmSites),
+		GTMShare:             stats.Share(len(s.gtmSites), len(s.anomSites)),
 	}
 
 	// Figure 7, rows in cmpdb order.
 	f7 := Figure7{
-		TotalSites:          agg.f7Total,
-		TotalQuestionable:   agg.f7Quest,
-		AvgQuestionableRate: stats.Share(agg.f7Quest, agg.f7Total),
+		TotalSites:          s.f7Total,
+		TotalQuestionable:   s.f7Quest,
+		AvgQuestionableRate: stats.Share(s.f7Quest, s.f7Total),
 	}
 	for _, c := range cmpdb.All() {
 		f7.Rows = append(f7.Rows, CMPRow{
 			CMP:                   c.Name,
-			Sites:                 agg.sitesByCMP[c.Name],
-			QuestionableSites:     agg.questByCMP[c.Name],
-			PCMP:                  stats.Share(agg.sitesByCMP[c.Name], agg.f7Total),
-			PCMPGivenQuestionable: stats.Share(agg.questByCMP[c.Name], agg.f7Quest),
-			PQuestionableGivenCMP: stats.Share(agg.questByCMP[c.Name], agg.sitesByCMP[c.Name]),
+			Sites:                 s.sitesByCMP[c.Name],
+			QuestionableSites:     s.questByCMP[c.Name],
+			PCMP:                  stats.Share(s.sitesByCMP[c.Name], s.f7Total),
+			PCMPGivenQuestionable: stats.Share(s.questByCMP[c.Name], s.f7Quest),
+			PQuestionableGivenCMP: stats.Share(s.questByCMP[c.Name], s.sitesByCMP[c.Name]),
 		})
 	}
 	idx.figure7 = f7
 
 	// Call types.
 	ct := CallTypes{
-		ByPhase:         agg.byPhase,
-		LegitByType:     agg.legitByType,
-		AnomalousByType: agg.anomByType,
-		DominantPerCP:   make(map[string]dataset.CallType, len(agg.perCP)),
+		ByPhase:         s.byPhase,
+		LegitByType:     s.legitByType,
+		AnomalousByType: s.anomByType,
+		DominantPerCP:   make(map[string]dataset.CallType, len(s.perCP)),
 	}
-	for cp, m := range agg.perCP {
+	for cp, m := range s.perCP {
 		ct.DominantPerCP[cp] = dominantType(m)
 	}
 	idx.callTypes = ct
 
 	// Languages.
 	idx.languages = Languages{
-		Visited:            agg.langVisited,
-		NoBanner:           agg.langNoBanner,
-		AcceptedByLanguage: agg.acceptedByLang,
-		MissedBanner:       agg.langMissed,
+		Visited:            s.langVisited,
+		NoBanner:           s.langNoBanner,
+		AcceptedByLanguage: s.acceptedByLang,
+		MissedBanner:       s.langMissed,
 	}
 
 	// Enrolment reads the attestation checks, not the visits; computing
@@ -755,7 +778,8 @@ func (idx *Index) finalize(in *Input, agg *indexShard) {
 	idx.enrolment = e
 
 	// Longitudinal trajectory: virtual-week buckets in time order.
-	idx.trajectory = assembleTrajectory(agg.epochs)
+	idx.trajectory = assembleTrajectory(s.epochs)
+	return idx
 }
 
 // Hosts returns the number of distinct hostnames interned by the index's

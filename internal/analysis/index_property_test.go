@@ -35,17 +35,17 @@ func TestIndexShardMergeProperty(t *testing.T) {
 		}
 
 		cache := etld.NewCache()
-		shards := make([]*indexShard, k)
+		shards := make([]*LiveIndex, k)
 		for i := range shards {
-			shards[i] = newIndexShard(in, cache)
+			shards[i] = newLiveIndex(in, cache)
 		}
 		var wg sync.WaitGroup
 		for w := 0; w < k; w++ {
 			wg.Add(1)
-			go func(s *indexShard, idxs []int) {
+			go func(s *LiveIndex, idxs []int) {
 				defer wg.Done()
 				for _, i := range idxs {
-					s.add(&visits[i])
+					s.Fold(&visits[i])
 				}
 			}(shards[w], assign[w])
 		}
@@ -57,8 +57,7 @@ func TestIndexShardMergeProperty(t *testing.T) {
 		for _, j := range order[1:] {
 			agg.absorb(shards[j])
 		}
-		idx := &Index{etld: cache, called: agg.called, present: agg.present, callers: agg.callers}
-		idx.finalize(in, agg)
+		idx := agg.finalize(in)
 
 		for _, cmp := range []struct {
 			name     string
@@ -90,11 +89,9 @@ func TestIndexShardMergeProperty(t *testing.T) {
 // concurrency.
 func sequentialIndex(in *Input) *Index {
 	cache := etld.NewCache()
-	s := newIndexShard(in, cache)
+	s := newLiveIndex(in, cache)
 	for i := range in.Data.Visits {
-		s.add(&in.Data.Visits[i])
+		s.Fold(&in.Data.Visits[i])
 	}
-	idx := &Index{etld: cache, called: s.called, present: s.present, callers: s.callers}
-	idx.finalize(in, s)
-	return idx
+	return s.finalize(in)
 }

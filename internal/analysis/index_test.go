@@ -60,9 +60,9 @@ func TestIndexParity(t *testing.T) {
 // worker or many, so output can never depend on GOMAXPROCS.
 func TestIndexWorkerDeterminism(t *testing.T) {
 	shared := input(t)
-	base := buildIndex(shared, 1)
+	base := foldStriped(shared, 1).finalize(shared)
 	for _, workers := range []int{2, 3, 8, 64} {
-		idx := buildIndex(shared, workers)
+		idx := foldStriped(shared, workers).finalize(shared)
 		if !reflect.DeepEqual(idx.called, base.called) {
 			t.Errorf("workers=%d: called map diverges", workers)
 		}

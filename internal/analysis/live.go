@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 
@@ -16,63 +15,19 @@ import (
 	"github.com/netmeasure/topicscope/internal/stats"
 )
 
-// LiveIndex is the analysis index in its incremental form: an indexShard
-// fed one committed record at a time instead of by a batch pass. Every
-// aggregate merges commutatively (see the Index determinism invariant),
-// so folding the records in rank order as the crawler emits them yields
-// the same accumulator a post-hoc BuildIndex pass would — the
-// incremental-parity test pins that for every prefix of a campaign.
-//
-// A LiveIndex folds while the campaign runs, long before the attestation
-// sweep exists; classification is split so that only the allow-list bit
-// is baked in at fold time and Snapshot resolves attestation facts from
-// whatever Input it is finalized against (see callerFacts).
-//
-// Not safe for concurrent use: the crawler's rank-ordered sink is a
-// single goroutine, which is exactly what makes one-at-a-time folding
-// deterministic for free.
-type LiveIndex struct {
-	in     *Input
-	cache  *etld.Cache
-	agg    *indexShard
-	visits int
-}
-
-// NewLiveIndex returns an empty fold accumulator. The input needs only
-// the allow-list (classification) and optionally Metrics; Attestations
-// may be nil — they are resolved at Snapshot time.
-func NewLiveIndex(in *Input) *LiveIndex {
-	cache := etld.NewCache()
-	return &LiveIndex{in: in, cache: cache, agg: newIndexShard(in, cache)}
-}
-
-// Fold adds one visit record to the accumulator.
-func (l *LiveIndex) Fold(v *dataset.Visit) {
-	l.agg.add(v)
-	l.visits++
-}
-
-// Visits returns how many records have been folded.
-func (l *LiveIndex) Visits() int { return l.visits }
+// Visits returns how many records the accumulator holds.
+func (s *LiveIndex) Visits() int { return s.visits }
 
 // Callers returns every distinct calling party folded so far, sorted —
 // the same set crawler.CallerDomains extracts from a collected dataset,
 // so a live consumer can run the attestation sweep without the visits.
-func (l *LiveIndex) Callers() []string {
-	out := make([]string, 0, len(l.agg.callers))
-	for c := range l.agg.callers {
+func (s *LiveIndex) Callers() []string {
+	out := make([]string, 0, len(s.callers))
+	for c := range s.callers {
 		out = append(out, c)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Shard exposes the accumulator as a mergeable partial for
-// MergeShardIndexes. The partial shares the accumulator's state; fold
-// only after the merge's finalize has run on cloned state (or not at
-// all), as with any ShardIndex.
-func (l *LiveIndex) Shard() *ShardIndex {
-	return &ShardIndex{agg: l.agg, cache: l.cache, visits: l.visits}
 }
 
 // Snapshot finalizes the accumulator into a full Index against the
@@ -80,23 +35,16 @@ func (l *LiveIndex) Shard() *ShardIndex {
 // checks) without consuming it: the aggregates are deep-copied first,
 // so folding continues cleanly afterwards — the monitor renders a
 // report every refresh while the campaign appends.
-func (l *LiveIndex) Snapshot(in *Input) *Index {
-	agg := l.agg.clone(in)
-	idx := &Index{
-		etld:    l.cache,
-		called:  agg.called,
-		present: agg.present,
-		callers: agg.callers,
-	}
-	idx.finalize(in, agg)
-	return idx
+func (s *LiveIndex) Snapshot(in *Input) *Index {
+	return s.clone(in).finalize(in)
 }
 
 // clone deep-copies every aggregate so finalize (which resolves
 // attestation facts into the caller map) and later folds cannot see
 // each other.
-func (s *indexShard) clone(in *Input) *indexShard {
-	c := newIndexShard(in, s.cache)
+func (s *LiveIndex) clone(in *Input) *LiveIndex {
+	c := newLiveIndex(in, s.cache)
+	c.visits = s.visits
 	for phase, sets := range s.called {
 		c.called[phase] = cloneSiteSets(sets)
 	}
@@ -190,22 +138,17 @@ const LiveSnapshotVersion = 2
 // journal.
 func IndexSnapshotPath(journalPath string) string { return journalPath + ".idx" }
 
-// RemoveIndexSnapshot deletes a journal's index snapshot if present.
-func RemoveIndexSnapshot(journalPath string) {
-	os.Remove(IndexSnapshotPath(journalPath))
-}
-
 // liveSnapshot is one segment of the `<journal>.idx` log: the serialized
-// form of an indexShard, CRC-framed (durable.AppendFrame) so any damaged
+// form of a LiveIndex, CRC-framed (durable.AppendFrame) so any damaged
 // byte is detected. The log opens with a full segment (Base 0: the whole
 // accumulator) and continues with delta segments, each holding only the
 // records (Base, Records] folded since its predecessor; restore merges
 // the chain with the commutative absorb. Everything is a JSON map or
 // counter — encoding/json sorts map keys, so the bytes are deterministic
-// for a given shard. The header ties each segment to one exact committed
-// journal state (records + payload CRC) and to the allow-list the
-// classification was folded against; any mismatch on load degrades the
-// reader to a full scan, mirroring the manifest's
+// for a given accumulator. The header ties each segment to one exact
+// committed journal state (records + payload CRC) and to the allow-list
+// the classification was folded against; any mismatch on load degrades
+// the reader to a full scan, mirroring the manifest's
 // accelerator-never-authority contract.
 type liveSnapshot struct {
 	Version      int    `json:"version"`
@@ -294,16 +237,15 @@ func allowlistCRC(allow *attestation.Allowlist) uint32 {
 // base is 0, else a delta holding only those records. The maps are
 // shared with the accumulator (encoding reads, never writes), so the
 // encode is O(accumulator).
-func (l *LiveIndex) segment(journalPath string, base int64, ck durable.Checkpoint) ([]byte, error) {
-	s := l.agg
+func (s *LiveIndex) segment(journalPath string, base int64, ck durable.Checkpoint) ([]byte, error) {
 	snap := &liveSnapshot{
 		Version:      LiveSnapshotVersion,
 		Journal:      filepath.Base(journalPath),
 		Records:      ck.Records,
 		Base:         base,
 		PayloadCRC:   ck.PayloadCRC,
-		AllowlistCRC: allowlistCRC(l.in.Allowlist),
-		Visits:       l.visits,
+		AllowlistCRC: allowlistCRC(s.in.Allowlist),
+		Visits:       s.visits,
 
 		Called:  s.called,
 		Present: s.present,
@@ -453,33 +395,27 @@ func VerifyIndexSnapshot(data []byte, journalPath string) (records int64, payloa
 	return last.Records, last.PayloadCRC, nil
 }
 
-// storeFull atomically replaces the .idx beside the journal with one
-// full segment of the accumulator, tied to the given committed
-// checkpoint, and returns the segment's payload size.
-func (l *LiveIndex) storeFull(journalPath string, ck durable.Checkpoint) (int64, error) {
-	payload, err := l.segment(journalPath, 0, ck)
+// StoreSnapshot atomically replaces the .idx beside the journal with the
+// accumulator's serialized form — a log of one full segment — tied to
+// the given committed checkpoint, and returns the segment's payload
+// size.
+func (s *LiveIndex) StoreSnapshot(journalPath string, ck durable.Checkpoint) (int64, error) {
+	payload, err := s.segment(journalPath, 0, ck)
 	if err != nil {
 		return 0, err
 	}
-	err = durable.WriteFileAtomicFS(l.in.FS, IndexSnapshotPath(journalPath), func(w io.Writer) error {
+	err = durable.WriteFileAtomicFS(s.in.FS, IndexSnapshotPath(journalPath), func(w io.Writer) error {
 		_, werr := w.Write(durable.AppendFrame(nil, payload))
 		return werr
 	})
 	return int64(len(payload)), err
 }
 
-// StoreSnapshot atomically writes the accumulator's serialized form
-// beside the journal — a log of one full segment — tied to the given
-// committed checkpoint.
-func (l *LiveIndex) StoreSnapshot(journalPath string, ck durable.Checkpoint) error {
-	_, err := l.storeFull(journalPath, ck)
-	return err
-}
-
-// shard rebuilds the indexShard a segment encodes. Maps absent from the
-// segment stay as newIndexShard's empty ones.
-func (snap *liveSnapshot) shard(in *Input, cache *etld.Cache) *indexShard {
-	s := newIndexShard(in, cache)
+// accumulator rebuilds the LiveIndex a segment encodes. Maps absent from
+// the segment stay as newLiveIndex's empty ones.
+func (snap *liveSnapshot) accumulator(in *Input, cache *etld.Cache) *LiveIndex {
+	s := newLiveIndex(in, cache)
+	s.visits = snap.Visits
 	for phase, sets := range snap.Called {
 		s.called[phase] = sets
 	}
@@ -678,14 +614,15 @@ func decodeLog(journalPath string, in *Input) ([]*liveSnapshot, segmentLog, erro
 }
 
 // restoreSegments merges a decoded segment chain into an accumulator.
+// Each segment holds its own records' visits, so the merge covers the
+// chain's last record count.
 func restoreSegments(in *Input, segs []*liveSnapshot) *LiveIndex {
-	l := NewLiveIndex(in)
-	l.agg = segs[0].shard(in, l.cache)
+	cache := etld.NewCache()
+	s := segs[0].accumulator(in, cache)
 	for _, seg := range segs[1:] {
-		l.agg.absorb(seg.shard(in, l.cache))
+		s.absorb(seg.accumulator(in, cache))
 	}
-	l.visits = int(segs[len(segs)-1].Records)
-	return l
+	return s
 }
 
 // LiveStats reports how a live index was (re)assembled and what it cost
@@ -723,28 +660,38 @@ func LoadLiveIndex(journalPath string, in *Input) (*LiveIndex, *LiveStats, error
 	} else {
 		live = NewLiveIndex(in)
 	}
+	if err := foldRecords(journalPath, offset, -1, live, st); err != nil {
+		return nil, nil, err
+	}
+	in.Metrics.Add("analysis_live_tail_records_total", st.TailRecords)
+	return live, st, nil
+}
 
+// foldRecords folds the journal's records from byte offset on into s —
+// only until s holds limit records, when limit is not negative — and
+// adds what it read to st: the records folded, the journal bytes read,
+// and whether a torn tail follows the last valid record.
+func foldRecords(journalPath string, offset, limit int64, s *LiveIndex, st *LiveStats) error {
 	rc, cr, err := durable.OpenTail(journalPath, offset)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	defer rc.Close()
 	scan, err := durable.ScanRecords(rc, func(payload []byte) error {
+		if limit >= 0 && int64(s.visits) >= limit {
+			return nil
+		}
 		var v dataset.Visit
 		if uerr := dataset.DecodeVisit(payload, &v); uerr != nil {
 			return fmt.Errorf("analysis: decoding journal record: %w", uerr)
 		}
-		live.Fold(&v)
+		s.Fold(&v)
 		st.TailRecords++
 		return nil
 	})
-	st.BytesRead = cr.BytesRead()
-	if err != nil {
-		return nil, nil, err
-	}
+	st.BytesRead += cr.BytesRead()
 	st.Truncated = scan.Truncated
-	in.Metrics.Add("analysis_live_tail_records_total", st.TailRecords)
-	return live, st, nil
+	return err
 }
 
 // LoadLive assembles and finalizes the analysis index for a journal in
@@ -820,40 +767,12 @@ func OpenLiveSink(journalPath string, in *Input) (*LiveSink, *LiveStats, error) 
 		// observer): start empty.
 		return NewLiveSink(journalPath, in), st, nil
 	}
-	live, err := foldJournalPrefix(journalPath, in, records, st)
-	if err != nil {
+	live := NewLiveIndex(in)
+	if err := foldRecords(journalPath, 0, records, live, st); err != nil {
 		return nil, nil, err
 	}
 	in.Metrics.Add("analysis_index_snapshot_rebuilds_total", 1)
 	return &LiveSink{path: journalPath, in: in, delta: live}, st, nil
-}
-
-// foldJournalPrefix folds the journal's first records records — the
-// rebuild of last resort when no usable snapshot holds them.
-func foldJournalPrefix(journalPath string, in *Input, records int64, st *LiveStats) (*LiveIndex, error) {
-	live := NewLiveIndex(in)
-	rc, cr, err := durable.OpenTail(journalPath, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer rc.Close()
-	_, err = durable.ScanRecords(rc, func(payload []byte) error {
-		if int64(live.visits) >= records {
-			return nil
-		}
-		var v dataset.Visit
-		if uerr := dataset.DecodeVisit(payload, &v); uerr != nil {
-			return fmt.Errorf("analysis: decoding journal record: %w", uerr)
-		}
-		live.Fold(&v)
-		st.TailRecords++
-		return nil
-	})
-	st.BytesRead += cr.BytesRead()
-	if err != nil {
-		return nil, err
-	}
-	return live, nil
 }
 
 // Live assembles the sink's whole accumulator: the log read back from
@@ -868,8 +787,7 @@ func (s *LiveSink) Live() *LiveIndex {
 			return nil
 		}
 	}
-	live.agg.absorb(s.delta.agg.clone(s.in))
-	live.visits += s.delta.visits
+	live.absorb(s.delta.clone(s.in))
 	return live
 }
 
@@ -879,7 +797,8 @@ func (s *LiveSink) persisted() (*LiveIndex, error) {
 	if live, err := readSegmentLog(s.path, s.in, s.log.records); err == nil {
 		return live, nil
 	}
-	live, err := foldJournalPrefix(s.path, s.in, s.log.records, &LiveStats{})
+	live := NewLiveIndex(s.in)
+	err := foldRecords(s.path, 0, s.log.records, live, &LiveStats{})
 	if err == nil && int64(live.visits) != s.log.records {
 		err = fmt.Errorf("analysis: journal %s holds %d of %d committed records", s.path, live.visits, s.log.records)
 	}
@@ -936,10 +855,9 @@ func (s *LiveSink) ObserveCheckpoint(ck durable.Checkpoint) error {
 			s.in.Metrics.Add("storage_accelerator_write_failures_total", 1, "artifact", "snapshot")
 			return nil
 		}
-		full.agg.absorb(s.delta.agg)
-		full.visits += s.delta.visits
+		full.absorb(s.delta)
 	}
-	n, err := full.storeFull(s.path, ck)
+	n, err := full.StoreSnapshot(s.path, ck)
 	if err != nil {
 		// The file is the old log or the new one: keep everything in
 		// memory and compact again at the next checkpoint.

@@ -184,9 +184,9 @@ func TestLiveIndexMergeProperty(t *testing.T) {
 		wg.Wait()
 
 		order := rng.Perm(k)
-		parts := make([]*ShardIndex, 0, k)
+		parts := make([]*LiveIndex, 0, k)
 		for _, j := range order {
-			parts = append(parts, lives[j].Shard())
+			parts = append(parts, lives[j])
 		}
 		merged := &Input{Allowlist: in.Allowlist, Attestations: in.Attestations}
 		idx, err := MergeShardIndexes(merged, parts...)

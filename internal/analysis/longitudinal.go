@@ -12,7 +12,7 @@ import (
 
 // Trajectory is the live form of experiment L1: the campaign bucketed
 // into virtual weeks as it unfolds. The buckets are folded into the
-// index one record at a time (indexShard.add), so a live index renders
+// index one record at a time (LiveIndex.Fold), so a live index renders
 // the trajectory mid-campaign from the latest snapshot, without a
 // second crawl or an O(dataset) re-scan — §6's continuous monitoring as
 // a by-product of the incremental fold.

@@ -3,107 +3,42 @@ package analysis
 import (
 	"fmt"
 	"runtime"
-	"sync"
-
-	"github.com/netmeasure/topicscope/internal/etld"
 )
 
-// ShardIndex is the partial analysis aggregate of one campaign shard: an
-// indexShard stopped just before finalize. Every field merges
-// commutatively (counters add, sets union, maxima max — see the Index
-// determinism invariant), so a distributed campaign can index each
-// journal shard independently and combine the partials into the same
-// Index a single pass over the merged dataset would build, without ever
-// re-reading the merged journal.
-type ShardIndex struct {
-	agg    *indexShard
-	cache  *etld.Cache
-	visits int
+// BuildShardIndex folds one campaign shard's dataset into a mergeable
+// partial with the same striped fold BuildIndex runs. Every field merges
+// commutatively (see the Index determinism invariant), so a distributed
+// campaign can index each journal shard independently and combine the
+// partials into the same Index a single pass over the merged dataset
+// would build, without ever re-reading the merged journal. The input's
+// Allowlist must be the campaign-global one — the allow-list membership
+// bit is folded into the partial and must agree across shards.
+// Attestations are not consulted until finalize (they do not exist while
+// a campaign is still crawling), so the partial needs none.
+func BuildShardIndex(in *Input) *LiveIndex {
+	return foldStriped(in, runtime.GOMAXPROCS(0))
 }
 
-// Visits returns how many visit records the partial covers.
-func (s *ShardIndex) Visits() int { return s.visits }
-
-// BuildShardIndex aggregates one shard's dataset into a mergeable
-// partial, using the same striped parallel pass as BuildIndex. The
-// input's Allowlist must be the campaign-global one — the allow-list
-// membership bit is folded into the partial and must agree across
-// shards. Attestations are not consulted until finalize (they do not
-// exist while a campaign is still crawling), so the partial needs none.
-func BuildShardIndex(in *Input) *ShardIndex {
-	return buildShardIndex(in, runtime.GOMAXPROCS(0))
-}
-
-func buildShardIndex(in *Input, workers int) *ShardIndex {
-	visits := in.Data.Visits
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(visits) {
-		workers = len(visits)
-	}
-	if workers == 0 {
-		workers = 1
-	}
-
-	cache := etld.NewCache()
-	shards := make([]*indexShard, workers)
-	var wg sync.WaitGroup
-	stripe := (len(visits) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		s := newIndexShard(in, cache)
-		shards[w] = s
-		lo := w * stripe
-		hi := lo + stripe
-		if hi > len(visits) {
-			hi = len(visits)
-		}
-		wg.Add(1)
-		go func(s *indexShard, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				s.add(&visits[i])
-			}
-		}(s, lo, hi)
-	}
-	wg.Wait()
-	in.Metrics.Add("analysis_visits_indexed_total", int64(len(visits)))
-	in.Metrics.Add("analysis_index_shards_total", int64(workers))
-
-	agg := shards[0]
-	for _, s := range shards[1:] {
-		agg.absorb(s)
-	}
-	return &ShardIndex{agg: agg, cache: cache, visits: len(visits)}
-}
-
-// MergeShardIndexes combines per-shard partials into one finalized
-// Index. in must be the campaign-global input — the merged dataset,
-// allow-list and attestation checks — because finalize reads the
-// allow-list block and enrolment timeline from it; the visit-derived
-// aggregates come entirely from the partials. Merge order cannot
-// influence the result (absorb is commutative), and the returned Index
-// equals BuildIndex(in) field for field — the cross-shard parity test
-// pins that.
-func MergeShardIndexes(in *Input, parts ...*ShardIndex) (*Index, error) {
+// MergeShardIndexes combines per-shard partials — built by
+// BuildShardIndex, folded live or restored from a snapshot — into one
+// finalized Index. in must be the campaign-global input — the merged
+// dataset, allow-list and attestation checks — because finalize reads
+// the allow-list block and enrolment timeline from it; the visit-derived
+// aggregates come entirely from the partials. The merge consumes them:
+// the first absorbs the rest and is finalized in place, so none may be
+// folded afterwards. Merge order cannot influence the result (absorb is
+// commutative), and the returned Index equals BuildIndex(in) field for
+// field — the cross-shard parity test pins that.
+func MergeShardIndexes(in *Input, parts ...*LiveIndex) (*Index, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("analysis: merging shard indexes: no partials")
 	}
-	agg := parts[0].agg
-	cache := parts[0].cache
+	agg := parts[0]
 	for _, p := range parts[1:] {
-		agg.absorb(p.agg)
+		agg.absorb(p)
 	}
 	in.Metrics.Add("analysis_shard_indexes_merged_total", int64(len(parts)))
-
-	idx := &Index{
-		etld:    cache,
-		called:  agg.called,
-		present: agg.present,
-		callers: agg.callers,
-	}
-	idx.finalize(in, agg)
-	return idx, nil
+	return agg.finalize(in), nil
 }
 
 // AdoptIndex installs an externally built index (one assembled by

@@ -37,7 +37,7 @@ func TestShardIndexMergeParity(t *testing.T) {
 
 	for _, n := range []int{1, 2, 4, 7} {
 		parts := shardInputs(full, n)
-		partials := make([]*ShardIndex, len(parts))
+		partials := make([]*LiveIndex, len(parts))
 		covered := 0
 		for i, p := range parts {
 			partials[i] = BuildShardIndex(p)
@@ -62,8 +62,8 @@ func TestShardIndexMergeParity(t *testing.T) {
 
 	// Merge order must not matter.
 	parts := shardInputs(full, 4)
-	fwd := make([]*ShardIndex, len(parts))
-	rev := make([]*ShardIndex, len(parts))
+	fwd := make([]*LiveIndex, len(parts))
+	rev := make([]*LiveIndex, len(parts))
 	for i, p := range parts {
 		fwd[i] = BuildShardIndex(p)
 		rev[len(parts)-1-i] = BuildShardIndex(&Input{

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -310,6 +311,36 @@ func TestGracefulDrainCheckpointsAndResumes(t *testing.T) {
 	resumeAndFinish(t, path, list, every, nil)
 	if got := journalPayloads(t, path); !bytes.Equal(got, goldenBytes) {
 		t.Fatal("drained+resumed dataset differs from uninterrupted run")
+	}
+}
+
+// TestMarkAbortedCancelledVisit pins the drain classification the
+// resume byte-parity depends on: any visit that finishes under a
+// cancelled context — successful, partial or failed — is journaled as a
+// failed "aborted" visit, so the consumer suppresses its site and the
+// resume recrawls it. A visit under a live context is left alone.
+func TestMarkAbortedCancelledVisit(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		v    dataset.Visit
+	}{
+		{"success", dataset.Visit{Success: true, Resources: []dataset.Resource{{Host: "a.example"}}}},
+		{"partial", dataset.Visit{Success: true, Partial: true, Resources: []dataset.Resource{{Host: "a.example", Failed: true, Error: "other"}}}},
+		{"failed", dataset.Visit{Error: "reset", ErrorClass: string(chaos.ClassReset)}},
+	} {
+		live := tc.v
+		markAborted(context.Background(), &live, "site.example")
+		if !reflect.DeepEqual(live, tc.v) {
+			t.Errorf("%s: live context changed the visit: %+v", tc.name, live)
+		}
+		v := tc.v
+		markAborted(cancelled, &v, "site.example")
+		if v.Success || v.Partial || v.ErrorClass != string(chaos.ClassAborted) || v.Error == "" {
+			t.Errorf("%s: cancelled visit = success %v, partial %v, class %q, error %q; want an aborted failure",
+				tc.name, v.Success, v.Partial, v.ErrorClass, v.Error)
+		}
 	}
 }
 

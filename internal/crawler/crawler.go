@@ -546,7 +546,7 @@ func (c *Crawler) crawlSite(ctx context.Context, entry tranco.Entry) ([]dataset.
 	fillVisit(&before, pv, err)
 	markAborted(ctx, &before, entry.Domain)
 	before.Retries += navRetries
-	if err != nil {
+	if !before.Success {
 		return []dataset.Visit{before}, []*obs.VisitTrace{mkTrace(trBefore, &before)}
 	}
 
@@ -593,15 +593,20 @@ func (c *Crawler) crawlSite(ctx context.Context, entry tranco.Entry) ([]dataset.
 		[]*obs.VisitTrace{mkTrace(trBefore, &before), mkTrace(trAfter, &after)}
 }
 
-// markAborted reclassifies a visit that failed because the campaign is
-// draining (context cancelled, SIGTERM): whatever error the collapsing
-// page load surfaced, the truthful class is "aborted" — the site was
-// not given a fair visit and must be recrawled on resume.
+// markAborted reclassifies a visit that finished while the campaign is
+// draining (context cancelled, SIGTERM) as a failed "aborted" visit.
+// That includes visits the page load reported as successful: a cancel
+// mid-load can cut sub-resource fetches short (a spurious failure) or
+// stop the walk before them (a silently short resource list), and
+// neither record matches what an uninterrupted run would journal. The
+// site was not given a fair visit and is recrawled on resume, so
+// marking a visit that happened to complete costs only that recrawl.
 func markAborted(ctx context.Context, v *dataset.Visit, site string) {
-	if v.Success || ctx.Err() == nil {
+	if ctx.Err() == nil {
 		return
 	}
 	e := &chaos.Error{Class: chaos.ClassAborted, Host: site}
+	v.Success, v.Partial = false, false
 	v.Error = e.Error()
 	v.ErrorClass = string(chaos.ClassAborted)
 }

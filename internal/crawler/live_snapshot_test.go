@@ -149,7 +149,7 @@ func TestCrashResumeIndexSnapshot(t *testing.T) {
 		}
 		os.Remove(path)
 		os.Remove(durable.ManifestPath(path))
-		analysis.RemoveIndexSnapshot(path)
+		os.Remove(analysis.IndexSnapshotPath(path))
 		durable.RemoveFrameIndex(path)
 	}
 }

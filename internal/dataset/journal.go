@@ -288,11 +288,6 @@ func (w *JournalWriter) Write(v *Visit) error {
 // committed before this run.
 func (w *JournalWriter) Count() int { return int(w.j.Records()) }
 
-// Watermark returns the current completed-site watermark.
-func (w *JournalWriter) Watermark() (rank int, site string) {
-	return w.watermarkRank, w.watermarkSite
-}
-
 // SiteCompleted records that a site's full record group has been
 // written, advances the watermark, and checkpoints every
 // CheckpointEvery completed sites.

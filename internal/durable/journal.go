@@ -159,9 +159,6 @@ func (j *Journal) Append(payload []byte) error {
 // not-yet-committed appends.
 func (j *Journal) Records() int64 { return j.records }
 
-// Committed returns the last committed checkpoint.
-func (j *Journal) Committed() Checkpoint { return j.committed }
-
 // Sync commits everything appended so far: it closes the open gzip
 // member, flushes the buffer and fsyncs the file, then returns the new
 // checkpoint. Sync with nothing new appended is a no-op returning the

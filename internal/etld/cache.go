@@ -78,9 +78,6 @@ func (c *Cache) Parts(host string) *Parts {
 	return p
 }
 
-// Intern returns the canonical normalized form of host (see Parts.Host).
-func (c *Cache) Intern(host string) string { return c.Parts(host).Host }
-
 // Registrable is a memoized RegistrableDomain.
 func (c *Cache) Registrable(host string) string { return c.Parts(host).Registrable }
 

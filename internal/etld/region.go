@@ -45,9 +45,6 @@ var euTLDs = map[string]bool{
 	"si": true, "es": true, "se": true, "eu": true, "ευ": true,
 }
 
-// IsEUTLD reports whether tld belongs to the paper's 30-TLD EU set.
-func IsEUTLD(tld string) bool { return euTLDs[tld] }
-
 // RegionOf classifies a hostname into one of the five Figure 6 regions by
 // its top-level domain.
 func RegionOf(host string) Region {

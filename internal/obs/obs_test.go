@@ -118,20 +118,25 @@ func TestSummaryFoldsOutcomesAndStages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// After-Accept reload: a visit trace, but not a SuccessRate attempt.
+	aaTr := NewTrace("visit", testStart)
+	if err := s.WriteTrace(&VisitTrace{Site: "a.com", Rank: 1, Phase: "after_accept", Outcome: "ok", Root: aaTr.Finish()}); err != nil {
+		t.Fatal(err)
+	}
 	// Campaign-level record: no site, must not count as a visit.
 	attTr := NewTrace("attestation", testStart)
 	if err := s.WriteTrace(&VisitTrace{Phase: "attestation", Root: attTr.Finish()}); err != nil {
 		t.Fatal(err)
 	}
 
-	if s.Visits != 4 || s.Succeeded != 2 || s.Partial != 1 || s.Failed != 1 {
+	if s.Visits != 5 || s.Succeeded != 3 || s.Partial != 1 || s.Failed != 1 {
 		t.Fatalf("visits=%d ok=%d partial=%d failed=%d", s.Visits, s.Succeeded, s.Partial, s.Failed)
 	}
 	if got := s.SiteCount(); got != 3 {
 		t.Errorf("SiteCount = %d, want 3", got)
 	}
 	if got := s.SuccessRate(); got != 0.75 {
-		t.Errorf("SuccessRate = %v, want 0.75 (ok + partial over visits)", got)
+		t.Errorf("SuccessRate = %v, want 0.75 (ok + partial over Before-Accept visits)", got)
 	}
 	rows := s.StageBreakdown()
 	if len(rows) == 0 || rows[0].Name != "fetch" && rows[0].Name != "visit" {

@@ -48,6 +48,11 @@ type Summary struct {
 	Failed    int `json:"failed"`
 	// Stages maps span name → aggregate.
 	Stages map[string]*StageSummary `json:"stages"`
+
+	// beforeVisits / beforeLoaded are SuccessRate's denominator and
+	// numerator; unexported, so the serialized shape (pinned by the
+	// golden pipeline fixture) is unchanged.
+	beforeVisits, beforeLoaded int
 }
 
 // NewSummary returns an empty summary.
@@ -75,6 +80,12 @@ func (s *Summary) WriteTrace(v *VisitTrace) error {
 			s.Partial++
 		default:
 			s.Failed++
+		}
+		if v.Phase == "before_accept" {
+			s.beforeVisits++
+			if v.Outcome == "ok" || v.Outcome == "partial" {
+				s.beforeLoaded++
+			}
 		}
 	}
 	v.Root.Walk(func(sp *Span) {
@@ -118,20 +129,23 @@ func (s *Summary) SiteCount() int {
 	return len(s.Sites)
 }
 
-// SuccessRate is the fraction of visit traces that loaded a page —
-// outcome "ok" or "partial" (a partial visit rendered with some failed
-// subresources). This matches crawler.Stats.Succeeded/Attempted, the
-// number calibrated to the paper's 86.8%.
+// SuccessRate is the fraction of Before-Accept visit traces that loaded
+// a page — outcome "ok" or "partial" (a partial visit rendered with some
+// failed subresources). After-Accept reloads are left out: every site is
+// attempted once Before-Accept, so this matches
+// crawler.Stats.Succeeded/Attempted and D1r's success rate, the number
+// calibrated to the paper's 86.8%. A summary decoded from JSON carries
+// no phase split and reports 0.
 func (s *Summary) SuccessRate() float64 {
 	if s == nil {
 		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.Visits == 0 {
+	if s.beforeVisits == 0 {
 		return 0
 	}
-	return float64(s.Succeeded+s.Partial) / float64(s.Visits)
+	return float64(s.beforeLoaded) / float64(s.beforeVisits)
 }
 
 // StageRow is one line of the sorted stage breakdown. The quantiles are

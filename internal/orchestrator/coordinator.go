@@ -355,7 +355,7 @@ func (c Campaign) Run(ctx context.Context) (*Result, error) {
 		Attestations: dataset.AttestationIndex(recs),
 		Metrics:      c.Metrics,
 	}
-	partials := make([]*analysis.ShardIndex, len(parts))
+	partials := make([]*analysis.LiveIndex, len(parts))
 	var iwg sync.WaitGroup
 	for i := range parts {
 		iwg.Add(1)
@@ -368,7 +368,7 @@ func (c Campaign) Run(ctx context.Context) (*Result, error) {
 			// Anything less degrades to the from-scratch build.
 			shardIn := &analysis.Input{Allowlist: allow, Metrics: c.Metrics}
 			if live, _ := analysis.LoadIndexSnapshot(shardPaths[i], shardIn); live != nil && live.Visits() == len(parts[i]) {
-				partials[i] = live.Shard()
+				partials[i] = live
 				c.Metrics.Add("orchestrator_shard_index_restored_total", 1)
 				return
 			}

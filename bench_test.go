@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -175,6 +176,32 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(idx.Hosts()), "distinct_hosts")
 	b.ReportMetric(float64(len(in.Data.Visits)), "visits")
+}
+
+// BenchmarkLiveIndexRestore measures the read side of the live report
+// (topics-report -live): restoring a finished journaled campaign's
+// `.idx` snapshot through LoadLiveAnalysisIndex. The final checkpoint
+// committed every record, so there is no journal tail to fold and the
+// whole cost is reading and decoding the snapshot.
+func BenchmarkLiveIndexRestore(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "crawl.jsonl.gz")
+	res, err := topicscope.Campaign{Seed: 7, Sites: 1000, Workers: 16, OutputPath: path}.Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := &topicscope.AnalysisInput{Allowlist: topicscope.NewAllowlist(res.World.Catalog.AllowedDomains()...)}
+	b.ResetTimer()
+	var live *topicscope.LiveAnalysisIndex
+	for i := 0; i < b.N; i++ {
+		var st *topicscope.LiveAnalysisStats
+		if live, st, err = topicscope.LoadLiveAnalysisIndex(path, in); err != nil {
+			b.Fatal(err)
+		}
+		if !st.SnapshotRestored || st.TailRecords != 0 {
+			b.Fatalf("restore stats %+v, want the snapshot and no tail", st)
+		}
+	}
+	b.ReportMetric(float64(live.Visits()), "visits")
 }
 
 // BenchmarkFullReport measures every experiment end to end on a fresh

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -12,7 +11,6 @@ import (
 	"github.com/netmeasure/topicscope/internal/dataset"
 	"github.com/netmeasure/topicscope/internal/durable"
 	"github.com/netmeasure/topicscope/internal/etld"
-	"github.com/netmeasure/topicscope/internal/stats"
 )
 
 // Visits returns how many records the accumulator holds.
@@ -130,93 +128,9 @@ func cloneSiteSets(src map[string]siteSet) map[string]siteSet {
 	return out
 }
 
-// LiveSnapshotVersion is the `<journal>.idx` schema version. Version 1
-// was a single unframed JSON document; readers treat it as absent.
-const LiveSnapshotVersion = 2
-
 // IndexSnapshotPath derives the serialized-index sidecar path for a
 // journal.
 func IndexSnapshotPath(journalPath string) string { return journalPath + ".idx" }
-
-// liveSnapshot is one segment of the `<journal>.idx` log: the serialized
-// form of a LiveIndex, CRC-framed (durable.AppendFrame) so any damaged
-// byte is detected. The log opens with a full segment (Base 0: the whole
-// accumulator) and continues with delta segments, each holding only the
-// records (Base, Records] folded since its predecessor; restore merges
-// the chain with the commutative absorb. Everything is a JSON map or
-// counter — encoding/json sorts map keys, so the bytes are deterministic
-// for a given accumulator. The header ties each segment to one exact
-// committed journal state (records + payload CRC) and to the allow-list
-// the classification was folded against; any mismatch on load degrades
-// the reader to a full scan, mirroring the manifest's
-// accelerator-never-authority contract.
-type liveSnapshot struct {
-	Version      int    `json:"version"`
-	Journal      string `json:"journal"`
-	Records      int64  `json:"records"`
-	Base         int64  `json:"base,omitempty"`
-	PayloadCRC   uint32 `json:"payload_crc"`
-	AllowlistCRC uint32 `json:"allowlist_crc"`
-	Visits       int    `json:"visits"`
-
-	Called  map[dataset.Phase]map[string]siteSet `json:"called,omitempty"`
-	Present map[dataset.Phase]map[string]siteSet `json:"present,omitempty"`
-	Allowed map[string]bool                      `json:"allowed,omitempty"`
-
-	Attempted     siteSet            `json:"attempted,omitempty"`
-	Visited       siteSet            `json:"visited,omitempty"`
-	Accepted      siteSet            `json:"accepted,omitempty"`
-	ThirdParties  map[string]bool    `json:"third_parties,omitempty"`
-	DAASites      siteSet            `json:"daa_sites,omitempty"`
-	AALegitCalled map[string]siteSet `json:"aa_legit_called,omitempty"`
-	Banners       int                `json:"banners,omitempty"`
-
-	Retries       int              `json:"retries,omitempty"`
-	CircuitOpens  int              `json:"circuit_opens,omitempty"`
-	RelAttempted  int              `json:"rel_attempted,omitempty"`
-	RelSucceeded  int              `json:"rel_succeeded,omitempty"`
-	RelFailed     int              `json:"rel_failed,omitempty"`
-	PartialVisits int              `json:"partial_visits,omitempty"`
-	ByClass       map[string]int   `json:"by_class,omitempty"`
-	Ranks         map[int]rankSnap `json:"ranks,omitempty"`
-	MaxRank       int              `json:"max_rank,omitempty"`
-
-	AnomCalls int     `json:"anom_calls,omitempty"`
-	SameSLD   int     `json:"same_sld,omitempty"`
-	JSCalls   int     `json:"js_calls,omitempty"`
-	AnomCPs   siteSet `json:"anom_cps,omitempty"`
-	AnomSites siteSet `json:"anom_sites,omitempty"`
-	GTMSites  siteSet `json:"gtm_sites,omitempty"`
-
-	F7Total    int           `json:"f7_total,omitempty"`
-	F7Quest    int           `json:"f7_quest,omitempty"`
-	SitesByCMP stats.Counter `json:"sites_by_cmp,omitempty"`
-	QuestByCMP stats.Counter `json:"quest_by_cmp,omitempty"`
-
-	ByPhase     map[dataset.Phase]map[dataset.CallType]int `json:"by_phase,omitempty"`
-	LegitByType map[dataset.CallType]int                   `json:"legit_by_type,omitempty"`
-	AnomByType  map[dataset.CallType]int                   `json:"anom_by_type,omitempty"`
-	PerCP       map[string]map[dataset.CallType]int        `json:"per_cp,omitempty"`
-
-	LangVisited    int           `json:"lang_visited,omitempty"`
-	LangNoBanner   int           `json:"lang_no_banner,omitempty"`
-	LangMissed     int           `json:"lang_missed,omitempty"`
-	AcceptedByLang stats.Counter `json:"accepted_by_lang,omitempty"`
-
-	Epochs map[int]epochSnap `json:"epochs,omitempty"`
-}
-
-type rankSnap struct {
-	Attempted int `json:"a,omitempty"`
-	Succeeded int `json:"s,omitempty"`
-}
-
-type epochSnap struct {
-	Visits  int             `json:"visits,omitempty"`
-	Calls   int             `json:"calls,omitempty"`
-	Callers map[string]bool `json:"callers,omitempty"`
-	Sites   siteSet         `json:"sites,omitempty"`
-}
 
 // allowlistCRC fingerprints the allow-list a fold classified against, so
 // a snapshot folded under one list is never finalized under another.
@@ -232,120 +146,45 @@ func allowlistCRC(allow *attestation.Allowlist) uint32 {
 	return crc
 }
 
-// segment encodes the accumulator as the payload of one .idx segment
-// covering the committed records (base, ck.Records]: a full segment when
-// base is 0, else a delta holding only those records. The maps are
-// shared with the accumulator (encoding reads, never writes), so the
-// encode is O(accumulator).
-func (s *LiveIndex) segment(journalPath string, base int64, ck durable.Checkpoint) ([]byte, error) {
-	snap := &liveSnapshot{
-		Version:      LiveSnapshotVersion,
+// segment wraps the accumulator as the .idx segment covering the
+// committed records (base, ck.Records]: a full segment when base is 0,
+// else a delta holding only those records. Encoding reads the
+// accumulator's maps and never writes them, so it is O(accumulator).
+func (s *LiveIndex) segment(journalPath string, base int64, ck durable.Checkpoint) *segment {
+	return &segment{
 		Journal:      filepath.Base(journalPath),
 		Records:      ck.Records,
 		Base:         base,
 		PayloadCRC:   ck.PayloadCRC,
 		AllowlistCRC: allowlistCRC(s.in.Allowlist),
-		Visits:       s.visits,
-
-		Called:  s.called,
-		Present: s.present,
-		Allowed: make(map[string]bool, len(s.callers)),
-
-		Attempted:     s.attempted,
-		Visited:       s.visited,
-		Accepted:      s.accepted,
-		ThirdParties:  s.thirdParties,
-		DAASites:      s.daaSites,
-		AALegitCalled: s.aaLegitCalled,
-		Banners:       s.banners,
-
-		Retries:       s.retries,
-		CircuitOpens:  s.circuitOpens,
-		RelAttempted:  s.relAttempted,
-		RelSucceeded:  s.relSucceeded,
-		RelFailed:     s.relFailed,
-		PartialVisits: s.partialVisits,
-		ByClass:       s.byClass,
-		Ranks:         make(map[int]rankSnap, len(s.ranks)),
-		MaxRank:       s.maxRank,
-
-		AnomCalls: s.anomCalls,
-		SameSLD:   s.sameSLD,
-		JSCalls:   s.jsCalls,
-		AnomCPs:   s.anomCPs,
-		AnomSites: s.anomSites,
-		GTMSites:  s.gtmSites,
-
-		F7Total:    s.f7Total,
-		F7Quest:    s.f7Quest,
-		SitesByCMP: s.sitesByCMP,
-		QuestByCMP: s.questByCMP,
-
-		ByPhase:     s.byPhase,
-		LegitByType: s.legitByType,
-		AnomByType:  s.anomByType,
-		PerCP:       s.perCP,
-
-		LangVisited:    s.langVisited,
-		LangNoBanner:   s.langNoBanner,
-		LangMissed:     s.langMissed,
-		AcceptedByLang: s.acceptedByLang,
-
-		Epochs: make(map[int]epochSnap, len(s.epochs)),
+		live:         s,
 	}
-	for caller, facts := range s.callers {
-		snap.Allowed[caller] = facts.allowed
-	}
-	for rank, rc := range s.ranks {
-		snap.Ranks[rank] = rankSnap{Attempted: rc.attempted, Succeeded: rc.succeeded}
-	}
-	for ep, ec := range s.epochs {
-		snap.Epochs[ep] = epochSnap{Visits: ec.visits, Calls: ec.calls, Callers: ec.callers, Sites: ec.sites}
-	}
-	return json.Marshal(snap)
-}
-
-// decodeLiveSnapshot strictly decodes and validates one segment payload.
-func decodeLiveSnapshot(data []byte) (*liveSnapshot, error) {
-	var snap liveSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("analysis: index snapshot: %w", err)
-	}
-	if snap.Version != LiveSnapshotVersion {
-		return nil, fmt.Errorf("analysis: index snapshot: unsupported version %d", snap.Version)
-	}
-	if snap.Base < 0 || snap.Records < snap.Base {
-		return nil, fmt.Errorf("analysis: index snapshot: segment (%d,%d] out of order", snap.Base, snap.Records)
-	}
-	if snap.Base > 0 && snap.Records == snap.Base {
-		return nil, fmt.Errorf("analysis: index snapshot: empty delta segment at %d", snap.Base)
-	}
-	if int64(snap.Visits) != snap.Records-snap.Base {
-		return nil, fmt.Errorf("analysis: index snapshot: %d visits in segment (%d,%d]", snap.Visits, snap.Base, snap.Records)
-	}
-	return &snap, nil
 }
 
 // segmentLog describes a decoded .idx log the way a sink appending to it
 // needs: the records its last segment covers, the payload bytes of its
-// full segment and of the deltas after it, and whether damaged bytes
-// trail the last valid segment.
+// full segment and of the deltas after it, whether damaged bytes trail
+// the last valid segment, and the chain's string table, which the next
+// delta extends.
 type segmentLog struct {
 	records     int64
 	full, delta int64
 	trailing    bool
+	table       *stringTable
 }
 
 // decodeSegments decodes the valid framed prefix of an .idx log into its
 // segment chain: a full segment, then deltas each continuing exactly
-// where its predecessor ended. A broken chain or an undecodable segment
-// rejects the whole log; damage after the last valid frame only marks it
-// trailing.
-func decodeSegments(data []byte) ([]*liveSnapshot, segmentLog, error) {
-	var segs []*liveSnapshot
+// where its predecessor ended and extending its string table. A broken
+// chain or an undecodable segment rejects the whole log; damage after
+// the last valid frame only marks it trailing.
+func decodeSegments(data []byte) ([]*segment, segmentLog, error) {
+	var segs []*segment
 	var log segmentLog
+	cache := etld.NewCache()
 	st, err := durable.ScanFrames(data, func(payload []byte) error {
-		seg, err := decodeLiveSnapshot(payload)
+		r := &segmentReader{data: payload}
+		seg, err := r.header()
 		if err != nil {
 			return err
 		}
@@ -354,11 +193,15 @@ func decodeSegments(data []byte) ([]*liveSnapshot, segmentLog, error) {
 				return fmt.Errorf("analysis: index snapshot: log opens with a delta from %d", seg.Base)
 			}
 			log.full = int64(len(payload))
+			log.table = &stringTable{}
 		} else {
 			if seg.Base != log.records || seg.Base == 0 {
 				return fmt.Errorf("analysis: index snapshot: segment from %d does not continue %d", seg.Base, log.records)
 			}
 			log.delta += int64(len(payload))
+		}
+		if err := r.body(seg, log.table, cache); err != nil {
+			return err
 		}
 		log.records = seg.Records
 		segs = append(segs, seg)
@@ -400,122 +243,18 @@ func VerifyIndexSnapshot(data []byte, journalPath string) (records int64, payloa
 // the given committed checkpoint, and returns the segment's payload
 // size.
 func (s *LiveIndex) StoreSnapshot(journalPath string, ck durable.Checkpoint) (int64, error) {
-	payload, err := s.segment(journalPath, 0, ck)
-	if err != nil {
-		return 0, err
-	}
-	err = durable.WriteFileAtomicFS(s.in.FS, IndexSnapshotPath(journalPath), func(w io.Writer) error {
+	log, err := s.storeSnapshot(journalPath, ck)
+	return log.full, err
+}
+
+// storeSnapshot is StoreSnapshot returning the layout of the log written.
+func (s *LiveIndex) storeSnapshot(journalPath string, ck durable.Checkpoint) (segmentLog, error) {
+	payload, table := s.segment(journalPath, 0, ck).encode(nil)
+	err := durable.WriteFileAtomicFS(s.in.FS, IndexSnapshotPath(journalPath), func(w io.Writer) error {
 		_, werr := w.Write(durable.AppendFrame(nil, payload))
 		return werr
 	})
-	return int64(len(payload)), err
-}
-
-// accumulator rebuilds the LiveIndex a segment encodes. Maps absent from
-// the segment stay as newLiveIndex's empty ones.
-func (snap *liveSnapshot) accumulator(in *Input, cache *etld.Cache) *LiveIndex {
-	s := newLiveIndex(in, cache)
-	s.visits = snap.Visits
-	for phase, sets := range snap.Called {
-		s.called[phase] = sets
-	}
-	for phase, sets := range snap.Present {
-		s.present[phase] = sets
-	}
-	for caller, allowed := range snap.Allowed {
-		s.callers[caller] = callerFacts{allowed: allowed}
-	}
-	if snap.Attempted != nil {
-		s.attempted = snap.Attempted
-	}
-	if snap.Visited != nil {
-		s.visited = snap.Visited
-	}
-	if snap.Accepted != nil {
-		s.accepted = snap.Accepted
-	}
-	if snap.ThirdParties != nil {
-		s.thirdParties = snap.ThirdParties
-	}
-	if snap.DAASites != nil {
-		s.daaSites = snap.DAASites
-	}
-	if snap.AALegitCalled != nil {
-		s.aaLegitCalled = snap.AALegitCalled
-	}
-	s.banners = snap.Banners
-
-	s.retries = snap.Retries
-	s.circuitOpens = snap.CircuitOpens
-	s.relAttempted = snap.RelAttempted
-	s.relSucceeded = snap.RelSucceeded
-	s.relFailed = snap.RelFailed
-	s.partialVisits = snap.PartialVisits
-	if snap.ByClass != nil {
-		s.byClass = snap.ByClass
-	}
-	for rank, rc := range snap.Ranks {
-		s.ranks[rank] = &rankCount{attempted: rc.Attempted, succeeded: rc.Succeeded}
-	}
-	s.maxRank = snap.MaxRank
-
-	s.anomCalls = snap.AnomCalls
-	s.sameSLD = snap.SameSLD
-	s.jsCalls = snap.JSCalls
-	if snap.AnomCPs != nil {
-		s.anomCPs = snap.AnomCPs
-	}
-	if snap.AnomSites != nil {
-		s.anomSites = snap.AnomSites
-	}
-	if snap.GTMSites != nil {
-		s.gtmSites = snap.GTMSites
-	}
-
-	s.f7Total = snap.F7Total
-	s.f7Quest = snap.F7Quest
-	if snap.SitesByCMP != nil {
-		s.sitesByCMP = snap.SitesByCMP
-	}
-	if snap.QuestByCMP != nil {
-		s.questByCMP = snap.QuestByCMP
-	}
-
-	if snap.ByPhase != nil {
-		s.byPhase = snap.ByPhase
-	}
-	if snap.LegitByType != nil {
-		s.legitByType = snap.LegitByType
-	}
-	if snap.AnomByType != nil {
-		s.anomByType = snap.AnomByType
-	}
-	if snap.PerCP != nil {
-		s.perCP = snap.PerCP
-	}
-
-	s.langVisited = snap.LangVisited
-	s.langNoBanner = snap.LangNoBanner
-	s.langMissed = snap.LangMissed
-	if snap.AcceptedByLang != nil {
-		s.acceptedByLang = snap.AcceptedByLang
-	}
-
-	if len(snap.Epochs) > 0 {
-		s.epochs = make(map[int]*epochCount, len(snap.Epochs))
-		for ep, ec := range snap.Epochs {
-			callers := ec.Callers
-			if callers == nil {
-				callers = make(map[string]bool)
-			}
-			sites := ec.Sites
-			if sites == nil {
-				sites = make(siteSet)
-			}
-			s.epochs[ep] = &epochCount{visits: ec.Visits, calls: ec.Calls, callers: callers, sites: sites}
-		}
-	}
-	return s
+	return segmentLog{records: ck.Records, full: int64(len(payload)), table: table}, err
 }
 
 // SnapshotInfo describes a restored index snapshot.
@@ -550,7 +289,7 @@ func LoadIndexSnapshot(journalPath string, in *Input) (*LiveIndex, *SnapshotInfo
 // its predecessor, every segment naming this journal and allow-list,
 // the last one the manifest's (records, payload CRC) — and returns its
 // segments, what they cover and their layout; nil segments otherwise.
-func validLog(journalPath string, in *Input) ([]*liveSnapshot, *SnapshotInfo, segmentLog) {
+func validLog(journalPath string, in *Input) ([]*segment, *SnapshotInfo, segmentLog) {
 	m := durable.LoadManifestFS(in.FS, journalPath)
 	if m == nil {
 		return nil, nil, segmentLog{}
@@ -591,7 +330,7 @@ func readSegmentLog(journalPath string, in *Input, records int64) (*LiveIndex, e
 
 // decodeLog reads and decodes the journal's .idx log, every segment of
 // which must name this journal and allow-list.
-func decodeLog(journalPath string, in *Input) ([]*liveSnapshot, segmentLog, error) {
+func decodeLog(journalPath string, in *Input) ([]*segment, segmentLog, error) {
 	fsys := in.FS
 	if fsys == nil {
 		fsys = durable.OS
@@ -613,15 +352,15 @@ func decodeLog(journalPath string, in *Input) ([]*liveSnapshot, segmentLog, erro
 	return segs, log, nil
 }
 
-// restoreSegments merges a decoded segment chain into an accumulator.
-// Each segment holds its own records' visits, so the merge covers the
-// chain's last record count.
-func restoreSegments(in *Input, segs []*liveSnapshot) *LiveIndex {
-	cache := etld.NewCache()
-	s := segs[0].accumulator(in, cache)
+// restoreSegments merges a decoded segment chain into its first
+// segment's accumulator, bound to in. Each segment holds its own
+// records' visits, so the merge covers the chain's last record count.
+func restoreSegments(in *Input, segs []*segment) *LiveIndex {
+	s := segs[0].live
 	for _, seg := range segs[1:] {
-		s.absorb(seg.accumulator(in, cache))
+		s.absorb(seg.live)
 	}
+	s.in = in
 	return s
 }
 
@@ -704,7 +443,7 @@ func LoadLive(journalPath string, in *Input) (*Index, *LiveStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return live.Snapshot(in), st, nil
+	return live.finalize(in), st, nil
 }
 
 // LiveSink is the fold consumer hooked into the crawler's rank-ordered
@@ -724,8 +463,10 @@ func LoadLive(journalPath string, in *Input) (*Index, *LiveStats, error) {
 // records, not on the cadence or the crashes that produced them.
 //
 // Between compactions the log on disk is the accumulator: the sink
-// keeps in memory only the records it has not yet persisted, and a
-// compaction reads the log back to merge them.
+// keeps in memory only the records it has not yet persisted and the
+// log's string table (which each delta extends, so a delta spells only
+// the strings the log has not), and a compaction reads the log back to
+// merge them.
 type LiveSink struct {
 	path string
 	in   *Input
@@ -758,7 +499,7 @@ func OpenLiveSink(journalPath string, in *Input) (*LiveSink, *LiveStats, error) 
 		return &LiveSink{path: journalPath, in: in, delta: NewLiveIndex(in), log: log}, st, nil
 	}
 	records := int64(-1)
-	if m := durable.LoadManifest(journalPath); m != nil {
+	if m := durable.LoadManifestFS(in.FS, journalPath); m != nil {
 		records = m.Records
 	}
 	if records <= 0 {
@@ -831,13 +572,12 @@ func (s *LiveSink) ObserveCheckpoint(ck durable.Checkpoint) error {
 		return nil // the log already is this state's single full segment
 	}
 	// A delta extends a verified log whose full segment holds records
-	// (base 0 marks a full segment).
+	// (base 0 marks a full segment), and its string table.
 	if log.full > 0 && !log.trailing && log.records > 0 && log.records < ck.Records && log.delta < log.full {
-		payload, err := s.delta.segment(s.path, log.records, ck)
-		if err == nil {
-			err = durable.AppendFileFS(s.in.FS, IndexSnapshotPath(s.path), durable.AppendFrame(nil, payload))
-		}
-		if err != nil {
+		payload, _ := s.delta.segment(s.path, log.records, ck).encode(log.table)
+		if err := durable.AppendFileFS(s.in.FS, IndexSnapshotPath(s.path), durable.AppendFrame(nil, payload)); err != nil {
+			// The table now holds strings the file may lack; the
+			// compaction a trailing log forces starts a fresh one.
 			s.log.trailing = true
 			s.in.Metrics.Add("storage_accelerator_write_failures_total", 1, "artifact", "snapshot")
 			return nil
@@ -857,7 +597,7 @@ func (s *LiveSink) ObserveCheckpoint(ck durable.Checkpoint) error {
 		}
 		full.absorb(s.delta)
 	}
-	n, err := full.StoreSnapshot(s.path, ck)
+	written, err := full.storeSnapshot(s.path, ck)
 	if err != nil {
 		// The file is the old log or the new one: keep everything in
 		// memory and compact again at the next checkpoint.
@@ -865,7 +605,7 @@ func (s *LiveSink) ObserveCheckpoint(ck durable.Checkpoint) error {
 		s.in.Metrics.Add("storage_accelerator_write_failures_total", 1, "artifact", "snapshot")
 		return nil
 	}
-	s.delta, s.log = NewLiveIndex(s.in), segmentLog{records: ck.Records, full: n}
+	s.delta, s.log = NewLiveIndex(s.in), written
 	s.in.Metrics.Add("analysis_index_snapshots_written_total", 1, "segment", "full")
 	return nil
 }

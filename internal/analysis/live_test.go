@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -331,8 +333,9 @@ func TestLiveSnapshotCorruptionDegrades(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Flip inside the version number region at the head.
-			data[12] ^= 0xff
+			// Flip the version byte at the head of the payload.
+			header, _ := framedSegment(t, data)
+			data[len(header)+1] ^= 0xff
 			os.WriteFile(p, data, 0o644) //nolint:errcheck // test corruption
 		}},
 		{"body-bit-flip", func(t *testing.T, p string) {
@@ -340,31 +343,51 @@ func TestLiveSnapshotCorruptionDegrades(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// One bit of the first attempted site name: the header still
-			// parses and matches the manifest, only the frame CRC knows.
-			i := bytes.Index(data, []byte(`"attempted":{"`))
-			if i < 0 {
-				t.Fatal("no attempted set in the snapshot")
+			// One bit of the first visit's site name in the string table,
+			// or of a string after it, chosen so the payload still
+			// decodes: the header still matches the manifest, only the
+			// frame CRC knows.
+			_, payload := framedSegment(t, data)
+			from := bytes.Index(payload, []byte(visits[0].Site))
+			if from < 0 {
+				t.Fatal("no site name in the snapshot")
 			}
-			data[i+len(`"attempted":{"`)] ^= 0x01
+			for i := from; ; i++ {
+				if i == len(payload) {
+					t.Fatal("no bit flip in the string table decodes")
+				}
+				flipped := append([]byte(nil), payload...)
+				flipped[i] ^= 0x01
+				if _, _, err := decodeSegments(durable.AppendFrame(nil, flipped)); err == nil {
+					payload[i] ^= 0x01
+					break
+				}
+			}
 			if err := os.WriteFile(p, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"version-1", func(t *testing.T, p string) {
 			// A pre-segment snapshot: one bare JSON document.
+			if err := os.WriteFile(p, append(jsonSegment(t, p, 1), '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"version-2", func(t *testing.T, p string) {
+			// A JSON segment, correctly framed and matching the manifest.
+			if err := os.WriteFile(p, durable.AppendFrame(nil, jsonSegment(t, p, 2)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"version-4", func(t *testing.T, p string) {
+			// A binary segment of a later schema, correctly framed.
 			data, err := os.ReadFile(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var body []byte
-			if _, err := durable.ScanFrames(data, func(payload []byte) error {
-				body = bytes.Replace(payload, []byte(`"version":2`), []byte(`"version":1`), 1)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(p, append(body, '\n'), 0o644); err != nil {
+			_, payload := framedSegment(t, data)
+			payload[0] = LiveSnapshotVersion + 1
+			if err := os.WriteFile(p, durable.AppendFrame(nil, payload), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -418,6 +441,41 @@ func TestLiveSnapshotCorruptionDegrades(t *testing.T) {
 	if live, _ := LoadIndexSnapshot(path, &Input{Allowlist: other}); live != nil {
 		t.Fatal("snapshot restored under a different allow-list")
 	}
+}
+
+// framedSegment splits a one-segment .idx into its frame header line and
+// the payload, which alias data.
+func framedSegment(t *testing.T, data []byte) (header, payload []byte) {
+	t.Helper()
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 || len(data) < nl+2 || data[len(data)-1] != '\n' {
+		t.Fatal("no framed segment in the snapshot")
+	}
+	return data[:nl], data[nl+1 : len(data)-1]
+}
+
+// jsonSegment is a JSON snapshot document of the given schema version
+// whose header matches the journal's manifest and allow-list — a
+// snapshot an earlier build would have restored.
+func jsonSegment(t *testing.T, idxPath string, version int) []byte {
+	t.Helper()
+	journal := strings.TrimSuffix(idxPath, ".idx")
+	m := durable.LoadManifest(journal)
+	if m == nil {
+		t.Fatal("no manifest")
+	}
+	doc, err := json.Marshal(map[string]any{
+		"version":       version,
+		"journal":       filepath.Base(journal),
+		"records":       m.Records,
+		"payload_crc":   m.PayloadCRC,
+		"allowlist_crc": allowlistCRC(chaosInput(t).Allowlist),
+		"visits":        m.Records,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
 }
 
 // crashResumeJournal journals visits through a live sink, "crashes"
@@ -516,6 +574,54 @@ func TestLiveSinkResumeAcrossCheckpoint(t *testing.T) {
 		Attestations: in.Attestations,
 	}
 	assertIndexEqual(t, "resumed sink", sink.Live().Snapshot(in), full.Index())
+}
+
+// manifestFaultFS fails every manifest read, as a read fault injected at
+// the storage seam would.
+type manifestFaultFS struct{ durable.FS }
+
+func (f manifestFaultFS) ReadFile(path string) ([]byte, error) {
+	if chaos.ClassifyArtifact(path) == chaos.PathManifest {
+		return nil, errors.New("injected manifest read fault")
+	}
+	return f.FS.ReadFile(path)
+}
+
+// TestOpenLiveSinkReadsManifestThroughFS pins OpenLiveSink to its
+// storage seam: when the manifest cannot be read through in.FS, the
+// resume through the same seam replays the journal from byte 0, so the
+// sink must start empty rather than fold the committed prefix it would
+// find on the real disk — or the replay would count every record of it
+// twice.
+func TestOpenLiveSinkReadsManifestThroughFS(t *testing.T) {
+	in := chaosInput(t)
+	visits := in.Data.Visits[:300]
+	path := filepath.Join(t.TempDir(), "seam.jsonl.gz")
+	foldJournal(t, path, visits, 5, &Input{Allowlist: in.Allowlist})
+
+	fsys := manifestFaultFS{FS: durable.OS}
+	sink, st, err := OpenLiveSink(path, &Input{Allowlist: in.Allowlist, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sink.Live().Visits(); got != 0 || st.TailRecords != 0 || st.SnapshotRestored {
+		t.Fatalf("sink holds %d records (%d folded from the journal, restored %v) behind a manifest its FS cannot read",
+			got, st.TailRecords, st.SnapshotRestored)
+	}
+	jw, _, err := dataset.ResumeJournal(path, dataset.JournalOptions{
+		CheckpointEvery: 5,
+		Observer:        sink,
+		Durable:         durable.Options{FS: fsys},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sink.Live().Visits(); got != len(visits) {
+		t.Fatalf("after the resume's replay the sink holds %d records, want %d", got, len(visits))
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestLiveSnapshotHistoryIndependence pins the compaction contract: a
@@ -622,8 +728,8 @@ func (c *countingFS) Rename(oldpath, newpath string) error {
 // The constants follow from the compaction rule once a delta costs at
 // most twice its share of the full segment: a one-site delta re-names
 // every domain key it touches, which the full segment names once, so on
-// this fixture each compaction grows the full segment by about 1.6x
-// (not 2x) and the total comes to about 4.7x the final file.
+// this fixture each compaction grows the full segment by about 1.7x
+// (not 2x) and the total comes to about 5.0x the final file.
 //
 // Mid-campaign the log is a chain of deltas that restores to the exact
 // prefix index.

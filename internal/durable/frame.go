@@ -28,8 +28,9 @@ func PayloadCRC(crc uint32, payload []byte) uint32 {
 }
 
 // AppendFrame appends one framed record to buf: the header line, the
-// payload, and a terminating newline. The payload must not contain a
-// newline (JSONL records never do).
+// payload, and a terminating newline. Readers take the payload by its
+// length, so it may hold any bytes (the .idx segments are binary); only
+// a legacy unframed line must be free of newlines.
 func AppendFrame(buf []byte, payload []byte) []byte {
 	buf = append(buf, framePrefix...)
 	buf = strconv.AppendInt(buf, int64(len(payload)), 10)

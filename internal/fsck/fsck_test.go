@@ -345,19 +345,38 @@ func TestRepairParityFaultMatrix(t *testing.T) {
 }
 
 // TestSnapshotBodyBitFlipIsCorrupt pins the .idx integrity check: one
-// flipped bit in the first attempted site name leaves every header field
-// intact, so only the segment CRC can tell — verify must report it, and
-// repair must restore parity.
+// flipped bit in a domain name of the snapshot's string table, chosen so
+// the payload still verifies with every header field intact, is visible
+// only to the segment CRC — verify must report it, and repair must
+// restore parity.
 func TestSnapshotBodyBitFlipIsCorrupt(t *testing.T) {
 	dir := cloneCampaign(t)
-	idx := filepath.Join(dir, "crawl.jsonl.gz.idx")
+	journal := filepath.Join(dir, "crawl.jsonl.gz")
+	idx := analysis.IndexSnapshotPath(journal)
 	data := readFile(t, idx)
-	key := []byte(`"attempted":{"`)
-	i := bytes.Index(data, key)
-	if i < 0 {
-		t.Fatal("no attempted set in the snapshot")
+	records, crc, err := analysis.VerifyIndexSnapshot(data, journal)
+	if err != nil {
+		t.Fatal(err)
 	}
-	data[i+len(key)] ^= 0x01
+	// The finished campaign's .idx is one frame: header line, payload,
+	// newline.
+	payload := data[bytes.IndexByte(data, '\n')+1 : len(data)-1]
+	from := bytes.Index(payload, []byte(".com"))
+	if from < 0 {
+		t.Fatal("no domain name in the snapshot")
+	}
+	for i := from; ; i++ {
+		if i == len(payload) {
+			t.Fatal("no bit flip in the string table verifies")
+		}
+		flipped := append([]byte(nil), payload...)
+		flipped[i] ^= 0x01
+		r, c, err := analysis.VerifyIndexSnapshot(durable.AppendFrame(nil, flipped), journal)
+		if err == nil && r == records && c == crc {
+			payload[i] ^= 0x01
+			break
+		}
+	}
 	if err := os.WriteFile(idx, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

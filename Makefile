@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-core storage-faults cover bench bench-json bench-gate fuzz golden report lint lint-escape load-slo live clean
+.PHONY: all build test race race-core storage-faults cover bench bench-json bench-gate fuzz golden report report-check lint lint-escape load-slo live clean
 
 all: build lint test race-core
 
@@ -106,15 +106,18 @@ fuzz:
 	$(GO) test -fuzz=FuzzFrameIndexDecode -fuzztime=10s ./internal/durable/
 	$(GO) test -fuzz=FuzzFsckReportDecode -fuzztime=10s ./internal/fsck/
 	$(GO) test -fuzz=FuzzIndexSnapshotDecode -fuzztime=10s ./internal/analysis/
+	$(GO) test -fuzz=FuzzFrameIndexRanges -fuzztime=10s ./internal/analysis/
 
 # The incremental-analysis equivalence suite: fold-vs-build parity at
-# every prefix, snapshot round trip + corruption degradation, the
+# every prefix, the .fidx member-range reader and fold against the
+# sequential read, snapshot round trip + corruption degradation, the
 # crash/resume index-snapshot matrix, live-vs-merged shard property, the
 # .idx segment log's linear writes and history-independent final bytes,
 # and the public-API live report byte-identity (see DESIGN.md
 # "Incremental analysis").
 live:
-	$(GO) test -run 'TestIncrementalIndexParity|TestLiveIndexMergeProperty|TestLiveSnapshotRoundTrip|TestLiveSnapshotCorruptionDegrades|TestLiveSinkResumeAcrossCheckpoint|TestLiveSnapshotHistoryIndependence|TestLiveSnapshotWritesStayLinear' -count=1 ./internal/analysis/
+	$(GO) test -run 'TestIncrementalIndexParity|TestLiveIndexMergeProperty|TestLiveSnapshotRoundTrip|TestLiveSnapshotCorruptionDegrades|TestLiveSinkResumeAcrossCheckpoint|TestLiveSnapshotHistoryIndependence|TestLiveSnapshotWritesStayLinear|TestJournalRangeFoldMatchesOneRange' -count=1 ./internal/analysis/
+	$(GO) test -run 'TestLoadFileMemberRangesMatchSequential|TestMemberRangesBalanceAndLimit' -count=1 ./internal/dataset/
 	$(GO) test -run 'TestCrashResumeIndexSnapshot|TestLiveReportReadsOnlyTail' -count=1 ./internal/crawler/
 	$(GO) test -run 'TestFrameIndex|TestScanFramesMatchesScanRecords' -count=1 ./internal/durable/
 	$(GO) test -run 'TestLiveReportMatchesPostHoc' -count=1 .
@@ -126,9 +129,19 @@ golden:
 	UPDATE_GOLDEN=1 $(GO) test -run '^TestPipelineGolden$$' .
 
 # The canonical full-scale reproduction run (EXPERIMENTS.md).
+REPORT_FLAGS = -seed 1 -sites 50000 -workers 32
+
 report:
-	$(GO) run ./cmd/topics-report -seed 1 -sites 50000 -workers 32 \
-		-out report_full.txt -json report_full.json
+	$(GO) run ./cmd/topics-report $(REPORT_FLAGS) -out report_full.txt -json report_full.json
+
+# Opt-in pin of the committed canonical report: rerun it into a temp
+# dir and fail unless both files match report_full.json/.txt byte for
+# byte (about 12 s on 2 vCPUs).
+report-check:
+	@tmp=$$(mktemp -d); \
+	$(GO) run ./cmd/topics-report $(REPORT_FLAGS) -out $$tmp/report_full.txt -json $$tmp/report_full.json \
+		&& diff -u report_full.json $$tmp/report_full.json && diff -u report_full.txt $$tmp/report_full.txt; \
+	status=$$?; rm -rf $$tmp; exit $$status
 
 clean:
 	rm -f report_full.txt report_full.json test_output.txt bench_output.txt

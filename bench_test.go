@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -184,21 +185,68 @@ func BenchmarkIndexBuild(b *testing.B) {
 // committed every record, so there is no journal tail to fold and the
 // whole cost is reading and decoding the snapshot.
 func BenchmarkLiveIndexRestore(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "crawl.jsonl.gz")
-	res, err := topicscope.Campaign{Seed: 7, Sites: 1000, Workers: 16, OutputPath: path}.Run(context.Background())
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := &topicscope.AnalysisInput{Allowlist: topicscope.NewAllowlist(res.World.Catalog.AllowedDomains()...)}
+	path, in := benchJournal(b)
 	b.ResetTimer()
 	var live *topicscope.LiveAnalysisIndex
 	for i := 0; i < b.N; i++ {
 		var st *topicscope.LiveAnalysisStats
+		var err error
 		if live, st, err = topicscope.LoadLiveAnalysisIndex(path, in); err != nil {
 			b.Fatal(err)
 		}
 		if !st.SnapshotRestored || st.TailRecords != 0 {
 			b.Fatalf("restore stats %+v, want the snapshot and no tail", st)
+		}
+	}
+	b.ReportMetric(float64(live.Visits()), "visits")
+}
+
+// benchJournal runs a finished 1,000-site journaled campaign (default
+// checkpoint cadence, so its .fidx marks a gzip member every 25 sites)
+// and returns the journal path and an input carrying its allow-list.
+func benchJournal(b *testing.B) (string, *topicscope.AnalysisInput) {
+	b.Helper()
+	path := filepath.Join(b.TempDir(), "crawl.jsonl.gz")
+	res, err := topicscope.Campaign{Seed: 7, Sites: 1000, Workers: 16, OutputPath: path}.Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return path, &topicscope.AnalysisInput{Allowlist: topicscope.NewAllowlist(res.World.Catalog.AllowedDomains()...)}
+}
+
+// BenchmarkLoadDataset measures topics-analyze's decode half: LoadDataset
+// over a finished journal, read as .fidx member ranges in parallel.
+func BenchmarkLoadDataset(b *testing.B) {
+	path, _ := benchJournal(b)
+	b.ResetTimer()
+	var data *topicscope.Dataset
+	for i := 0; i < b.N; i++ {
+		var err error
+		if data, err = topicscope.LoadDataset(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(data.Len()), "visits")
+}
+
+// BenchmarkJournalFold measures the journal-to-index path without a
+// snapshot: LoadLiveAnalysisIndex with the .idx deleted folds every
+// record of the journal, one .fidx member range per CPU.
+func BenchmarkJournalFold(b *testing.B) {
+	path, in := benchJournal(b)
+	if err := os.Remove(analysis.IndexSnapshotPath(path)); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var live *topicscope.LiveAnalysisIndex
+	for i := 0; i < b.N; i++ {
+		var st *topicscope.LiveAnalysisStats
+		var err error
+		if live, st, err = topicscope.LoadLiveAnalysisIndex(path, in); err != nil {
+			b.Fatal(err)
+		}
+		if st.SnapshotRestored || st.TailRecords != int64(live.Visits()) {
+			b.Fatalf("fold stats %+v, want every record folded from the journal", st)
 		}
 	}
 	b.ReportMetric(float64(live.Visits()), "visits")

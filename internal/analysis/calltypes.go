@@ -36,12 +36,12 @@ func ComputeCallTypes(in *Input) *CallTypes {
 	pre := in.Index().callTypes
 	ct := &CallTypes{
 		ByPhase:         make(map[dataset.Phase]map[dataset.CallType]int, len(pre.ByPhase)),
-		LegitByType:     copyTypeCounts(pre.LegitByType),
-		AnomalousByType: copyTypeCounts(pre.AnomalousByType),
+		LegitByType:     copyMap(pre.LegitByType),
+		AnomalousByType: copyMap(pre.AnomalousByType),
 		DominantPerCP:   make(map[string]dataset.CallType, len(pre.DominantPerCP)),
 	}
 	for phase, types := range pre.ByPhase {
-		ct.ByPhase[phase] = copyTypeCounts(types)
+		ct.ByPhase[phase] = copyMap(types)
 	}
 	for cp, typ := range pre.DominantPerCP {
 		ct.DominantPerCP[cp] = typ

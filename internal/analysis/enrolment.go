@@ -28,7 +28,7 @@ type Enrolment struct {
 // ComputeEnrolment runs experiment E1 over the attestation checks.
 func ComputeEnrolment(in *Input) *Enrolment {
 	e := in.Index().enrolment
-	e.ByMonth = copyStringCounts(e.ByMonth)
+	e.ByMonth = copyMap(e.ByMonth)
 	return &e
 }
 

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 
@@ -98,40 +99,59 @@ func BuildIndex(in *Input) *Index {
 	return foldStriped(in, runtime.GOMAXPROCS(0)).finalize(in)
 }
 
-// foldStriped folds the input's visits into one accumulator: each worker
-// goroutine folds a contiguous stripe into a private accumulator over a
-// shared etld cache, and the stripes then absorb into the first. The
-// worker count is explicit so tests can prove the result independent of
-// it.
+// foldStriped folds the input's visits into one accumulator, one
+// contiguous stripe per worker (see foldParts). The worker count is
+// explicit so tests can prove the result independent of it.
 func foldStriped(in *Input, workers int) *LiveIndex {
 	visits := in.Data.Visits
 	workers = max(1, min(workers, len(visits)))
-	cache := etld.NewCache()
-	stripes := make([]*LiveIndex, workers)
-	var wg sync.WaitGroup
 	stripe := (len(visits) + workers - 1) / workers
-	for w := range stripes {
-		s := newLiveIndex(in, cache)
-		stripes[w] = s
-		lo := w * stripe
-		hi := min(lo+stripe, len(visits))
-		wg.Add(1)
-		go func(s *LiveIndex, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				s.Fold(&visits[i])
-			}
-		}(s, lo, hi)
-	}
-	wg.Wait()
+	s := NewLiveIndex(in)
+	foldParts(s, workers, func(i int, part *LiveIndex) error {
+		for j := i * stripe; j < min((i+1)*stripe, len(visits)); j++ {
+			part.Fold(&visits[j])
+		}
+		return nil
+	})
 	in.Metrics.Add("analysis_visits_indexed_total", int64(len(visits)))
 	in.Metrics.Add("analysis_index_shards_total", int64(workers))
+	return s
+}
 
-	agg := stripes[0]
-	for _, s := range stripes[1:] {
-		agg.absorb(s)
+// foldParts is the one parallel fold: the parts of a record source — the
+// stripes of an in-memory slice, the member ranges of a journal — fold
+// each into a private accumulator over s's etld cache, the last on the
+// calling goroutine and every other on its own, and absorb into s in
+// part order once all of them have folded. A part's error discards
+// every partial and leaves s as it was. A single part folds straight
+// into s, with no goroutine.
+func foldParts(s *LiveIndex, n int, fold func(i int, part *LiveIndex) error) error {
+	if n == 1 {
+		return fold(0, s)
 	}
-	return agg
+	parts := make([]*LiveIndex, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range parts {
+		parts[i] = newLiveIndex(s.in, s.cache)
+		if i == n-1 {
+			errs[i] = fold(i, parts[i])
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fold(i, parts[i])
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	for _, part := range parts {
+		s.absorb(part)
+	}
+	return nil
 }
 
 // LiveIndex is the analysis index before finalize: the accumulator
@@ -337,12 +357,16 @@ func (s *LiveIndex) Fold(v *dataset.Visit) {
 	}
 
 	// Resources: presence (successful visits), third parties (D_BA, any
-	// outcome), circuit-breaker hits (any phase), GTM detection.
+	// outcome), circuit-breaker hits (any phase), GTM detection. A
+	// non-failed resource repeating the previous one's (Host, ThirdParty)
+	// is skipped: everything below is idempotent in those two fields, and
+	// a page's resources from one host are adjacent.
 	hasGTM := false
 	var pres map[string]siteSet
 	if v.Success {
 		pres = phaseSets(s.present, v.Phase)
 	}
+	var prev *dataset.Resource
 	for i := range v.Resources {
 		r := &v.Resources[i]
 		if r.Failed {
@@ -351,6 +375,10 @@ func (s *LiveIndex) Fold(v *dataset.Visit) {
 			}
 			continue
 		}
+		if prev != nil && r.Host == prev.Host && r.ThirdParty == prev.ThirdParty {
+			continue
+		}
+		prev = r
 		reg := s.cache.Registrable(r.Host)
 		if pres != nil {
 			set := pres[reg]
@@ -472,27 +500,25 @@ func (s *LiveIndex) Fold(v *dataset.Visit) {
 	}
 }
 
-// absorb merges another accumulator into s, sharing (not copying) the
-// maps s lacks, so o must not be folded afterwards. Every operation is
-// commutative, so the merge order cannot influence the result.
+// absorb merges another accumulator into s. Wherever both hold a map —
+// a set, a counter, a per-key table — the smaller merges into the
+// larger, which s keeps, so o's maps end up shared or spent: o must be
+// dead afterwards (every caller absorbs a stripe, a range, a shard or a
+// segment it then drops, or a clone). Every operation is commutative,
+// so neither the merge order nor which side is larger can influence
+// the result.
 func (s *LiveIndex) absorb(o *LiveIndex) {
 	s.visits += o.visits
-	for phase, sets := range o.called {
-		mergeSiteSets(phaseSets(s.called, phase), sets)
-	}
-	for phase, sets := range o.present {
-		mergeSiteSets(phaseSets(s.present, phase), sets)
-	}
-	for caller, facts := range o.callers {
-		s.callers[caller] = facts
-	}
+	s.called = mergeMap(s.called, o.called, mergeSiteSets)
+	s.present = mergeMap(s.present, o.present, mergeSiteSets)
+	s.callers = mergeMap(s.callers, o.callers, func(f, _ callerFacts) callerFacts { return f })
 
-	unionSet(s.attempted, o.attempted)
-	unionSet(s.visited, o.visited)
-	unionSet(s.accepted, o.accepted)
-	unionSet(s.thirdParties, o.thirdParties)
-	unionSet(s.daaSites, o.daaSites)
-	mergeSiteSets(s.aaLegitCalled, o.aaLegitCalled)
+	s.attempted = unionSet(s.attempted, o.attempted)
+	s.visited = unionSet(s.visited, o.visited)
+	s.accepted = unionSet(s.accepted, o.accepted)
+	s.thirdParties = unionSet(s.thirdParties, o.thirdParties)
+	s.daaSites = unionSet(s.daaSites, o.daaSites)
+	s.aaLegitCalled = mergeSiteSets(s.aaLegitCalled, o.aaLegitCalled)
 	s.banners += o.banners
 
 	s.retries += o.retries
@@ -501,103 +527,72 @@ func (s *LiveIndex) absorb(o *LiveIndex) {
 	s.relSucceeded += o.relSucceeded
 	s.relFailed += o.relFailed
 	s.partialVisits += o.partialVisits
-	for class, n := range o.byClass {
-		s.byClass[class] += n
-	}
-	for rank, rc := range o.ranks {
-		dst := s.ranks[rank]
-		if dst == nil {
-			s.ranks[rank] = rc
-			continue
-		}
-		dst.attempted += rc.attempted
-		dst.succeeded += rc.succeeded
-	}
-	if o.maxRank > s.maxRank {
-		s.maxRank = o.maxRank
-	}
+	s.byClass = addCounts(s.byClass, o.byClass)
+	s.ranks = mergeMap(s.ranks, o.ranks, func(a, b *rankCount) *rankCount {
+		a.attempted += b.attempted
+		a.succeeded += b.succeeded
+		return a
+	})
+	s.maxRank = max(s.maxRank, o.maxRank)
 
 	s.anomCalls += o.anomCalls
 	s.sameSLD += o.sameSLD
 	s.jsCalls += o.jsCalls
-	unionSet(s.anomCPs, o.anomCPs)
-	unionSet(s.anomSites, o.anomSites)
-	unionSet(s.gtmSites, o.gtmSites)
+	s.anomCPs = unionSet(s.anomCPs, o.anomCPs)
+	s.anomSites = unionSet(s.anomSites, o.anomSites)
+	s.gtmSites = unionSet(s.gtmSites, o.gtmSites)
 
 	s.f7Total += o.f7Total
 	s.f7Quest += o.f7Quest
-	addCounter(s.sitesByCMP, o.sitesByCMP)
-	addCounter(s.questByCMP, o.questByCMP)
+	s.sitesByCMP = addCounts(s.sitesByCMP, o.sitesByCMP)
+	s.questByCMP = addCounts(s.questByCMP, o.questByCMP)
 
-	for phase, types := range o.byPhase {
-		dst := s.byPhase[phase]
-		if dst == nil {
-			s.byPhase[phase] = types
-			continue
-		}
-		for t, n := range types {
-			dst[t] += n
-		}
-	}
-	for t, n := range o.legitByType {
-		s.legitByType[t] += n
-	}
-	for t, n := range o.anomByType {
-		s.anomByType[t] += n
-	}
-	for cp, types := range o.perCP {
-		dst := s.perCP[cp]
-		if dst == nil {
-			s.perCP[cp] = types
-			continue
-		}
-		for t, n := range types {
-			dst[t] += n
-		}
-	}
+	s.byPhase = mergeMap(s.byPhase, o.byPhase, addCounts)
+	s.legitByType = addCounts(s.legitByType, o.legitByType)
+	s.anomByType = addCounts(s.anomByType, o.anomByType)
+	s.perCP = mergeMap(s.perCP, o.perCP, addCounts)
 
 	s.langVisited += o.langVisited
 	s.langNoBanner += o.langNoBanner
 	s.langMissed += o.langMissed
-	addCounter(s.acceptedByLang, o.acceptedByLang)
+	s.acceptedByLang = addCounts(s.acceptedByLang, o.acceptedByLang)
 
-	for ep, ec := range o.epochs {
-		if s.epochs == nil {
-			s.epochs = make(map[int]*epochCount)
-		}
-		dst := s.epochs[ep]
-		if dst == nil {
-			s.epochs[ep] = ec
-			continue
-		}
-		dst.visits += ec.visits
-		dst.calls += ec.calls
-		unionSet(dst.callers, ec.callers)
-		unionSet(dst.sites, ec.sites)
-	}
+	s.epochs = mergeMap(s.epochs, o.epochs, func(a, b *epochCount) *epochCount {
+		a.visits += b.visits
+		a.calls += b.calls
+		a.callers = unionSet(a.callers, b.callers)
+		a.sites = unionSet(a.sites, b.sites)
+		return a
+	})
 }
 
-func mergeSiteSets(dst, src map[string]siteSet) {
-	for key, set := range src {
-		d := dst[key]
-		if d == nil {
-			dst[key] = set
-			continue
+// mergeMap merges the smaller of two maps into the larger and returns
+// it: a key one side holds keeps its value, a key both hold gets
+// add(dst's value, src's value), argument order swapped when the maps
+// are. Both maps are spent.
+func mergeMap[K comparable, V any](dst, src map[K]V, add func(a, b V) V) map[K]V {
+	if len(dst) < len(src) {
+		dst, src = src, dst
+	}
+	for k, v := range src {
+		if d, ok := dst[k]; ok {
+			v = add(d, v)
 		}
-		unionSet(d, set)
+		dst[k] = v
 	}
+	return dst
 }
 
-func unionSet(dst, src map[string]bool) {
-	for k := range src {
-		dst[k] = true
-	}
+func mergeSiteSets(dst, src map[string]siteSet) map[string]siteSet {
+	return mergeMap(dst, src, unionSet)
 }
 
-func addCounter(dst, src stats.Counter) {
-	for k, n := range src {
-		dst[k] += n
-	}
+func unionSet(dst, src map[string]bool) map[string]bool {
+	return mergeMap(dst, src, func(bool, bool) bool { return true })
+}
+
+func addCounts[K comparable](dst, src map[K]int) map[K]int {
+	return mergeMap(dst, src, func(a, b int) int { return a + b })
 }
 
 // finalize assembles the Index from the accumulator: it resolves the
@@ -666,7 +661,9 @@ func (s *LiveIndex) finalize(in *Input) *Index {
 	daaSitesWithCall := make(siteSet)
 	for caller, sites := range s.aaLegitCalled {
 		if idx.callers[caller].attested {
-			unionSet(daaSitesWithCall, sites)
+			for site := range sites {
+				daaSitesWithCall[site] = true
+			}
 		}
 	}
 	idx.overview = Overview{
@@ -786,28 +783,12 @@ func (s *LiveIndex) finalize(in *Input) *Index {
 // etld cache.
 func (idx *Index) Hosts() int { return idx.etld.Len() }
 
-// copy helpers for the Compute* wrappers: results share nothing with the
-// index, so concurrent queries and caller-side mutation stay safe.
-
-func copyTypeCounts(m map[dataset.CallType]int) map[dataset.CallType]int {
-	out := make(map[dataset.CallType]int, len(m))
+// copyMap returns a shallow copy of m, never nil: the Compute* wrappers
+// hand out copies so results share nothing with the index, and clone
+// copies every set and counter with it.
+func copyMap[M ~map[K]V, K comparable, V any](m M) M {
+	out := make(M, len(m))
 	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func copyStringCounts(m map[string]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func copyCounter(c stats.Counter) stats.Counter {
-	out := make(stats.Counter, len(c))
-	for k, v := range c {
 		out[k] = v
 	}
 	return out

@@ -27,7 +27,7 @@ type Languages struct {
 // ComputeLanguages runs experiment D2 over Before-Accept visits.
 func ComputeLanguages(in *Input) *Languages {
 	l := in.Index().languages
-	l.AcceptedByLanguage = copyCounter(l.AcceptedByLanguage)
+	l.AcceptedByLanguage = copyMap(l.AcceptedByLanguage)
 	return &l
 }
 

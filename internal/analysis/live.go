@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"io"
 	"path/filepath"
+	"runtime"
 	"sort"
 
 	"github.com/netmeasure/topicscope/internal/attestation"
@@ -52,11 +53,11 @@ func (s *LiveIndex) clone(in *Input) *LiveIndex {
 	for caller, facts := range s.callers {
 		c.callers[caller] = facts
 	}
-	c.attempted = cloneSet(s.attempted)
-	c.visited = cloneSet(s.visited)
-	c.accepted = cloneSet(s.accepted)
-	c.thirdParties = cloneSet(s.thirdParties)
-	c.daaSites = cloneSet(s.daaSites)
+	c.attempted = copyMap(s.attempted)
+	c.visited = copyMap(s.visited)
+	c.accepted = copyMap(s.accepted)
+	c.thirdParties = copyMap(s.thirdParties)
+	c.daaSites = copyMap(s.daaSites)
 	c.aaLegitCalled = cloneSiteSets(s.aaLegitCalled)
 	c.banners = s.banners
 
@@ -66,7 +67,7 @@ func (s *LiveIndex) clone(in *Input) *LiveIndex {
 	c.relSucceeded = s.relSucceeded
 	c.relFailed = s.relFailed
 	c.partialVisits = s.partialVisits
-	c.byClass = copyStringCounts(s.byClass)
+	c.byClass = copyMap(s.byClass)
 	for rank, rc := range s.ranks {
 		c.ranks[rank] = &rankCount{attempted: rc.attempted, succeeded: rc.succeeded}
 	}
@@ -75,28 +76,28 @@ func (s *LiveIndex) clone(in *Input) *LiveIndex {
 	c.anomCalls = s.anomCalls
 	c.sameSLD = s.sameSLD
 	c.jsCalls = s.jsCalls
-	c.anomCPs = cloneSet(s.anomCPs)
-	c.anomSites = cloneSet(s.anomSites)
-	c.gtmSites = cloneSet(s.gtmSites)
+	c.anomCPs = copyMap(s.anomCPs)
+	c.anomSites = copyMap(s.anomSites)
+	c.gtmSites = copyMap(s.gtmSites)
 
 	c.f7Total = s.f7Total
 	c.f7Quest = s.f7Quest
-	c.sitesByCMP = copyCounter(s.sitesByCMP)
-	c.questByCMP = copyCounter(s.questByCMP)
+	c.sitesByCMP = copyMap(s.sitesByCMP)
+	c.questByCMP = copyMap(s.questByCMP)
 
 	for phase, types := range s.byPhase {
-		c.byPhase[phase] = copyTypeCounts(types)
+		c.byPhase[phase] = copyMap(types)
 	}
-	c.legitByType = copyTypeCounts(s.legitByType)
-	c.anomByType = copyTypeCounts(s.anomByType)
+	c.legitByType = copyMap(s.legitByType)
+	c.anomByType = copyMap(s.anomByType)
 	for cp, types := range s.perCP {
-		c.perCP[cp] = copyTypeCounts(types)
+		c.perCP[cp] = copyMap(types)
 	}
 
 	c.langVisited = s.langVisited
 	c.langNoBanner = s.langNoBanner
 	c.langMissed = s.langMissed
-	c.acceptedByLang = copyCounter(s.acceptedByLang)
+	c.acceptedByLang = copyMap(s.acceptedByLang)
 
 	if s.epochs != nil {
 		c.epochs = make(map[int]*epochCount, len(s.epochs))
@@ -104,26 +105,18 @@ func (s *LiveIndex) clone(in *Input) *LiveIndex {
 			c.epochs[ep] = &epochCount{
 				visits:  ec.visits,
 				calls:   ec.calls,
-				callers: cloneSet(ec.callers),
-				sites:   cloneSet(ec.sites),
+				callers: copyMap(ec.callers),
+				sites:   copyMap(ec.sites),
 			}
 		}
 	}
 	return c
 }
 
-func cloneSet(src map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(src))
-	for k := range src {
-		out[k] = true
-	}
-	return out
-}
-
 func cloneSiteSets(src map[string]siteSet) map[string]siteSet {
 	out := make(map[string]siteSet, len(src))
 	for k, set := range src {
-		out[k] = cloneSet(set)
+		out[k] = copyMap(set)
 	}
 	return out
 }
@@ -399,38 +392,57 @@ func LoadLiveIndex(journalPath string, in *Input) (*LiveIndex, *LiveStats, error
 	} else {
 		live = NewLiveIndex(in)
 	}
-	if err := foldRecords(journalPath, offset, -1, live, st); err != nil {
+	if err := foldRecords(journalPath, offset, -1, live, st, runtime.GOMAXPROCS(0)); err != nil {
 		return nil, nil, err
 	}
 	in.Metrics.Add("analysis_live_tail_records_total", st.TailRecords)
 	return live, st, nil
 }
 
-// foldRecords folds the journal's records from byte offset on into s —
-// only until s holds limit records, when limit is not negative — and
-// adds what it read to st: the records folded, the journal bytes read,
-// and whether a torn tail follows the last valid record.
-func foldRecords(journalPath string, offset, limit int64, s *LiveIndex, st *LiveStats) error {
-	rc, cr, err := durable.OpenTail(journalPath, offset)
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	scan, err := durable.ScanRecords(rc, func(payload []byte) error {
-		if limit >= 0 && int64(s.visits) >= limit {
+// foldRecords folds the journal's records from the committed byte
+// offset on into s — only the first limit of them, when limit is not
+// negative — one .fidx member range per worker (see
+// dataset.MemberRanges), and adds what it read to st: the records
+// folded, the journal bytes read, and whether a torn tail follows the
+// last valid record. A committed range that does not hold exactly what
+// the .fidx promised voids the split, with everything its ranges read,
+// and s folds the one sequential range instead, so the .fidx can make
+// the fold faster but never different.
+func foldRecords(journalPath string, offset, limit int64, s *LiveIndex, st *LiveStats, workers int) error {
+	ranges := dataset.MemberRanges(journalPath, offset, limit, workers)
+	if len(ranges) > 1 {
+		parts := make([]LiveStats, len(ranges))
+		if foldParts(s, len(ranges), func(i int, part *LiveIndex) error {
+			return foldRange(journalPath, ranges[i], part, &parts[i])
+		}) == nil {
+			for _, p := range parts {
+				st.TailRecords += p.TailRecords
+				st.BytesRead += p.BytesRead
+				st.Truncated = p.Truncated
+			}
 			return nil
 		}
+	}
+	return foldRange(journalPath, dataset.MemberRange{Start: offset, End: -1, Records: limit}, s, st)
+}
+
+// foldRange folds one member range into s (see dataset.ScanMemberRange).
+func foldRange(journalPath string, r dataset.MemberRange, s *LiveIndex, st *LiveStats) error {
+	rs, err := dataset.ScanMemberRange(journalPath, r, func(payload []byte) error {
 		var v dataset.Visit
 		if uerr := dataset.DecodeVisit(payload, &v); uerr != nil {
 			return fmt.Errorf("analysis: decoding journal record: %w", uerr)
 		}
 		s.Fold(&v)
-		st.TailRecords++
 		return nil
 	})
-	st.BytesRead += cr.BytesRead()
-	st.Truncated = scan.Truncated
-	return err
+	if err != nil {
+		return err
+	}
+	st.TailRecords += rs.Records
+	st.BytesRead += rs.BytesRead
+	st.Truncated = rs.Truncated
+	return nil
 }
 
 // LoadLive assembles and finalizes the analysis index for a journal in
@@ -509,7 +521,7 @@ func OpenLiveSink(journalPath string, in *Input) (*LiveSink, *LiveStats, error) 
 		return NewLiveSink(journalPath, in), st, nil
 	}
 	live := NewLiveIndex(in)
-	if err := foldRecords(journalPath, 0, records, live, st); err != nil {
+	if err := foldRecords(journalPath, 0, records, live, st, runtime.GOMAXPROCS(0)); err != nil {
 		return nil, nil, err
 	}
 	in.Metrics.Add("analysis_index_snapshot_rebuilds_total", 1)
@@ -539,7 +551,7 @@ func (s *LiveSink) persisted() (*LiveIndex, error) {
 		return live, nil
 	}
 	live := NewLiveIndex(s.in)
-	err := foldRecords(s.path, 0, s.log.records, live, &LiveStats{})
+	err := foldRecords(s.path, 0, s.log.records, live, &LiveStats{}, runtime.GOMAXPROCS(0))
 	if err == nil && int64(live.visits) != s.log.records {
 		err = fmt.Errorf("analysis: journal %s holds %d of %d committed records", s.path, live.visits, s.log.records)
 	}

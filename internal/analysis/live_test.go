@@ -202,7 +202,7 @@ func TestLiveIndexMergeProperty(t *testing.T) {
 // writeJournal writes the given visits through a checkpointed journal
 // with the sink attached, completing each site group as the crawler
 // would, and returns the still-open writer.
-func writeJournal(t *testing.T, path string, visits []dataset.Visit, every int, sink *LiveSink) *dataset.JournalWriter {
+func writeJournal(t testing.TB, path string, visits []dataset.Visit, every int, sink *LiveSink) *dataset.JournalWriter {
 	t.Helper()
 	jw, err := dataset.CreateJournal(path, dataset.JournalOptions{
 		CheckpointEvery: every,
@@ -216,7 +216,7 @@ func writeJournal(t *testing.T, path string, visits []dataset.Visit, every int, 
 }
 
 // writeVisits appends visits, completing each site group.
-func writeVisits(t *testing.T, jw *dataset.JournalWriter, visits []dataset.Visit) {
+func writeVisits(t testing.TB, jw *dataset.JournalWriter, visits []dataset.Visit) {
 	t.Helper()
 	for i := range visits {
 		if err := jw.Write(&visits[i]); err != nil {
@@ -232,7 +232,7 @@ func writeVisits(t *testing.T, jw *dataset.JournalWriter, visits []dataset.Visit
 
 // finishJournal ends a campaign the way the crawler does: a final Flush
 // checkpoint, then Close.
-func finishJournal(t *testing.T, jw *dataset.JournalWriter) {
+func finishJournal(t testing.TB, jw *dataset.JournalWriter) {
 	t.Helper()
 	if err := jw.Flush(); err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func finishJournal(t *testing.T, jw *dataset.JournalWriter) {
 
 // foldJournal journals the given visits with a live sink attached,
 // finishes the campaign, and returns the sink.
-func foldJournal(t *testing.T, path string, visits []dataset.Visit, every int, liveIn *Input) *LiveSink {
+func foldJournal(t testing.TB, path string, visits []dataset.Visit, every int, liveIn *Input) *LiveSink {
 	t.Helper()
 	sink := NewLiveSink(path, liveIn)
 	finishJournal(t, writeJournal(t, path, visits, every, sink))

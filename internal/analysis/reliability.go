@@ -42,7 +42,7 @@ type ReliabilityDecile struct {
 // ComputeReliability runs experiment D1r.
 func ComputeReliability(in *Input) *Reliability {
 	r := in.Index().reliability
-	r.ByClass = copyStringCounts(r.ByClass)
+	r.ByClass = copyMap(r.ByClass)
 	r.Deciles = append([]ReliabilityDecile(nil), r.Deciles...)
 	return &r
 }

@@ -150,7 +150,7 @@ func TestCrashResumeIndexSnapshot(t *testing.T) {
 		os.Remove(path)
 		os.Remove(durable.ManifestPath(path))
 		os.Remove(analysis.IndexSnapshotPath(path))
-		durable.RemoveFrameIndex(path)
+		durable.RemoveFrameIndexFS(nil, path)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 
 	"github.com/netmeasure/topicscope/internal/durable"
 )
@@ -118,8 +119,23 @@ func frameMismatch(line int) error {
 	return fmt.Errorf("dataset: line %d: frame length/CRC mismatch (run topics-fsck)", line)
 }
 
-// LoadFile loads a JSONL dataset from disk (.gz transparently).
+// LoadFile loads a JSONL dataset from disk (.gz transparently). A
+// journal's .fidx splits the read into member ranges decoded in
+// parallel, one per CPU (see MemberRanges); the result, and any error,
+// is exactly the sequential read's.
 func LoadFile(path string) (*Dataset, error) {
+	return loadFile(path, runtime.GOMAXPROCS(0))
+}
+
+// loadFile is LoadFile over at most workers member ranges. One range —
+// no .fidx, a single member or a single worker — is the sequential
+// read; so is any split a range disagrees with.
+func loadFile(path string, workers int) (*Dataset, error) {
+	if ranges := MemberRanges(path, 0, -1, workers); len(ranges) > 1 {
+		if d, ok := loadRanges(path, ranges); ok {
+			return d, nil
+		}
+	}
 	f, err := OpenReader(path)
 	if err != nil {
 		return nil, err

@@ -49,7 +49,7 @@ func ReadRecordRange(path string, from, to int64, fn func(*Visit) error) (*Range
 	}
 	seen := entry.Records
 	st.SeekOffset = entry.Offset
-	return readRange(path, entry.Offset, st, func(payload []byte) error {
+	return readRange(path, MemberRange{Start: entry.Offset, End: -1}, st, func(payload []byte) error {
 		i := seen
 		seen++
 		if i < from {
@@ -76,7 +76,7 @@ func ReadRankRange(path string, fromRank int, fn func(*Visit) error) (*RangeStat
 		st.Indexed = entry.Offset > 0
 	}
 	st.SeekOffset = entry.Offset
-	return readRange(path, entry.Offset, st, func(payload []byte) error {
+	return readRange(path, MemberRange{Start: entry.Offset, End: -1}, st, func(payload []byte) error {
 		var v Visit
 		if err := DecodeVisit(payload, &v); err != nil {
 			return fmt.Errorf("dataset: decoding record: %w", err)
@@ -99,8 +99,8 @@ func deliverVisit(payload []byte, st *RangeStats, fn func(*Visit) error) error {
 	return fn(&v)
 }
 
-func readRange(path string, offset int64, st *RangeStats, fn func([]byte) error) (*RangeStats, error) {
-	rc, cr, err := durable.OpenTail(path, offset)
+func readRange(path string, r MemberRange, st *RangeStats, fn func([]byte) error) (*RangeStats, error) {
+	rc, cr, err := durable.OpenRange(path, r.Start, r.End)
 	if err != nil {
 		return nil, err
 	}

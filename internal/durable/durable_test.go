@@ -238,6 +238,36 @@ func TestScanRecordsPropagatesCallbackError(t *testing.T) {
 	}
 }
 
+// TestScanRecordsAllocsPerRecord pins ScanRecords' buffer reuse: the
+// payload and line buffers are allocated per scan and regrown only for
+// a longer record, never per record, so a fold over a whole journal
+// pays no allocation per record in the framing layer.
+func TestScanRecordsAllocsPerRecord(t *testing.T) {
+	const records = 400
+	var stream []byte
+	for i := range records {
+		// Record sizes around a typical visit record, growing now and then.
+		stream = AppendFrame(stream, bytes.Repeat([]byte{'x'}, 2000+i%7*100))
+		if i%50 == 0 {
+			stream = append(stream, `{"legacy":"unframed line"}`+"\n"...)
+		}
+	}
+	var got int64
+	allocs := testing.AllocsPerRun(10, func() {
+		st, err := ScanRecords(bytes.NewReader(stream), func([]byte) error { return nil })
+		if err != nil || st.Truncated {
+			t.Fatalf("scan: %v %+v", err, st)
+		}
+		got = st.Records
+	})
+	if got != records+records/50 {
+		t.Fatalf("scanned %d records, want %d", got, records+records/50)
+	}
+	if perRecord := allocs / records; perRecord > 0.05 {
+		t.Fatalf("ScanRecords made %.0f allocations for %d records (%.3f per record), want a per-scan constant", allocs, records, perRecord)
+	}
+}
+
 func journalRecords(n int) [][]byte {
 	out := make([][]byte, n)
 	for i := range out {

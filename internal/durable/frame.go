@@ -100,10 +100,14 @@ type ScanStats struct {
 // mismatch, a decompression error from a torn gzip member — ends the
 // scan *without error*: the stats report the truncation and fn has
 // received every record before it. Only fn's own errors propagate.
+//
+// The scan reuses its buffers from record to record, so fn must not
+// retain payload (or modify it) past its return; copy what it keeps.
 func ScanRecords(r io.Reader, fn func(payload []byte) error) (ScanStats, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var st ScanStats
 	var consumed int64 // bytes consumed including the tail being read
+	var long, buf []byte
 	truncate := func(reason string, tail int64) (ScanStats, error) {
 		st.Truncated = true
 		st.Reason = reason
@@ -120,7 +124,9 @@ func ScanRecords(r io.Reader, fn func(payload []byte) error) (ScanStats, error) 
 		return nil
 	}
 	for {
-		line, err := br.ReadBytes('\n')
+		var line []byte
+		var err error
+		line, long, err = readLine(br, long)
 		consumed += int64(len(line))
 		if err == io.EOF {
 			if len(line) == 0 {
@@ -144,26 +150,44 @@ func ScanRecords(r io.Reader, fn func(payload []byte) error) (ScanStats, error) 
 			continue
 		}
 		n, wantCRC, ok := parseFrameHeader(line)
+		head := int64(len(line)) + 1
 		if !ok {
-			return truncate("torn-header", int64(len(line))+1)
+			return truncate("torn-header", head)
 		}
-		payload := make([]byte, n+1)
+		if cap(buf) < n+1 {
+			buf = make([]byte, n+1)
+		}
+		payload := buf[:n+1]
 		read, err := io.ReadFull(br, payload)
 		consumed += int64(read)
-		if err != nil {
-			return truncate("torn-payload", int64(len(line))+1+int64(read))
-		}
-		if payload[n] != '\n' {
-			return truncate("torn-payload", int64(len(line))+1+int64(read))
+		if err != nil || payload[n] != '\n' {
+			return truncate("torn-payload", head+int64(read))
 		}
 		payload = payload[:n]
 		if crc32.Checksum(payload, castagnoli) != wantCRC {
-			return truncate("crc-mismatch", int64(len(line))+1+int64(n)+1)
+			return truncate("crc-mismatch", head+int64(n)+1)
 		}
 		if err := deliver(payload); err != nil {
 			return st, err
 		}
 	}
+}
+
+// readLine reads through the next newline the way bufio's ReadBytes
+// does, but hands out the reader's own buffer when the line fits in it
+// and otherwise assembles it in long, which it returns for reuse; either
+// way the line is valid only until the next read.
+func readLine(br *bufio.Reader, long []byte) (line, grown []byte, err error) {
+	line, err = br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, long, err
+	}
+	long = append(long[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = br.ReadSlice('\n')
+		long = append(long, line...)
+	}
+	return long, long, err
 }
 
 // ScanFrames is ScanRecords over an in-memory buffer: the same framing,

@@ -166,12 +166,8 @@ func LoadFrameIndexFS(fsys FS, journalPath string) *FrameIndex {
 	return fi
 }
 
-// RemoveFrameIndex deletes a journal's frame index if present.
-func RemoveFrameIndex(journalPath string) {
-	os.Remove(FrameIndexPath(journalPath))
-}
-
-// RemoveFrameIndexFS is RemoveFrameIndex through an explicit filesystem seam.
+// RemoveFrameIndexFS deletes a journal's frame index, if present,
+// through an explicit filesystem seam (nil means the real OS).
 func RemoveFrameIndexFS(fsys FS, journalPath string) {
 	fsOrOS(fsys).Remove(FrameIndexPath(journalPath))
 }

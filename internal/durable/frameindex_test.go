@@ -178,9 +178,9 @@ func TestFrameIndexLoadSalvage(t *testing.T) {
 	})
 	t.Run("remove", func(t *testing.T) {
 		store(t, fi)
-		RemoveFrameIndex(journal)
+		RemoveFrameIndexFS(nil, journal)
 		if LoadFrameIndex(journal) != nil {
-			t.Fatal("index survived RemoveFrameIndex")
+			t.Fatal("index survived RemoveFrameIndexFS")
 		}
 	})
 }

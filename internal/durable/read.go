@@ -4,6 +4,7 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
@@ -78,15 +79,22 @@ func CanonicalBytes(path string) ([]byte, error) {
 // whose first Read fails, which ScanRecords absorbs as a truncation —
 // never an open error.
 func OpenTail(path string, offset int64) (io.ReadCloser, *CountingReader, error) {
+	return OpenRange(path, offset, -1)
+}
+
+// OpenRange is OpenTail bounded to the journal bytes [start, end): the
+// reader ends at end even when the file goes on, so a range between two
+// committed offsets decodes its own gzip members and nothing past them.
+// A negative end reads through EOF.
+func OpenRange(path string, start, end int64) (io.ReadCloser, *CountingReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("durable: opening tail of %s: %w", path, err)
 	}
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("durable: seeking %s to %d: %w", path, offset, err)
+	if end < 0 {
+		end = math.MaxInt64
 	}
-	cr := &CountingReader{r: f}
+	cr := &CountingReader{r: io.NewSectionReader(f, start, end-start)}
 	if !Compressed(path) {
 		return tailReader{Reader: cr, f: f}, cr, nil
 	}

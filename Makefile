@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-core storage-faults cover bench bench-json bench-gate fuzz golden report report-check lint lint-escape load-slo live clean
+.PHONY: all build test race race-core storage-faults cover bench bench-json bench-gate fuzz golden report report-check lint lint-escape live clean
 
 all: build lint test race-core
 
@@ -24,11 +24,10 @@ race:
 # feed concurrently, the durable journal the crawl writes through, the
 # orchestrator's coordinator (concurrent shard supervision + restart
 # accounting), the chaos fault FS + fsck repair path (parallel recrawls
-# through the storage seam), and the serving path under load (etld
-# cache, topics engine pool, load-harness workers) — fast enough to
-# ride in `make all`.
+# through the storage seam), and the shared serving-path state (etld
+# cache, topics engine) — fast enough to ride in `make all`.
 race-core:
-	$(GO) test -race ./internal/analysis/ ./internal/crawler/ ./internal/webserver/ ./internal/obs/ ./internal/durable/ ./internal/dataset/ ./internal/orchestrator/ ./internal/etld/ ./internal/topics/ ./internal/load/ ./internal/chaos/ ./internal/fsck/
+	$(GO) test -race ./internal/analysis/ ./internal/crawler/ ./internal/webserver/ ./internal/obs/ ./internal/durable/ ./internal/dataset/ ./internal/orchestrator/ ./internal/etld/ ./internal/topics/ ./internal/chaos/ ./internal/fsck/
 
 # The storage-fault matrix: every artifact-level fault class (ENOSPC,
 # EIO blips, short writes, failed fsyncs, torn renames, bit flips)
@@ -73,23 +72,12 @@ bench-json:
 
 # Benchmark regression gate: re-run the suite and fail when a
 # machine-independent metric regressed more than 20% against the
-# committed baseline — allocs/op, B/op, and the virtual serving-path
-# SLO metrics (p50_ms/p99_ms/p999_ms up, req_s down). ns/op is
-# advisory — it depends on the host. The short -benchtime keeps CI
-# cheap; allocation counts stabilise within a few iterations and the
-# SLO metrics are identical for any iteration count.
+# committed baseline — allocs/op and B/op. ns/op is advisory — it
+# depends on the host. The short -benchtime keeps CI cheap; allocation
+# counts stabilise within a few iterations.
 bench-gate:
 	$(GO) test -run '^$$' -bench=. -benchtime=0.2s -benchmem . \
 		| $(GO) run ./cmd/benchjson -check BENCH_report.json -tol 0.2
-
-# Serving-path SLO gate: one deterministic load run at the canonical
-# seed, failing on the virtual latency/throughput budget. The bounds
-# leave ~2x headroom over the committed baseline (p50 16ms / p99 32ms /
-# p999 267ms / 3792 req/s virtual at seed 1) so only a real serving-path
-# regression trips them, not bucket-boundary jitter from a new mix.
-load-slo:
-	$(GO) run ./cmd/topics-load -seed 1 -sites 1500 -requests 20000 -rate 5000 \
-		-slo-p50-ms 64 -slo-p99-ms 300 -slo-p999-ms 600 -slo-req-s 2000 > /dev/null
 
 # Short fuzz pass over every parser.
 fuzz:

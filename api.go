@@ -17,7 +17,6 @@ import (
 	"github.com/netmeasure/topicscope/internal/dataset"
 	"github.com/netmeasure/topicscope/internal/durable"
 	"github.com/netmeasure/topicscope/internal/etld"
-	"github.com/netmeasure/topicscope/internal/load"
 	"github.com/netmeasure/topicscope/internal/obs"
 	"github.com/netmeasure/topicscope/internal/reident"
 	"github.com/netmeasure/topicscope/internal/taxonomy"
@@ -446,12 +445,6 @@ func ReadRecordRange(path string, from, to int64, fn func(*Visit) error) (*Range
 	return dataset.ReadRecordRange(path, from, to, fn)
 }
 
-// ReadRankRange streams every record with site rank >= fromRank into
-// fn, seeking via the frame index's completed-site watermarks.
-func ReadRankRange(path string, fromRank int, fn func(*Visit) error) (*RangeStats, error) {
-	return dataset.ReadRankRange(path, fromRank, fn)
-}
-
 // ---- Platforms & hosts ----
 
 // AdPlatform describes one calling party of the catalog.
@@ -526,29 +519,3 @@ type (
 // SimulateReident runs the cross-site re-identification attack against
 // the Topics engine and reports match rates per observation epoch.
 func SimulateReident(cfg ReidentConfig) *ReidentResult { return reident.Simulate(cfg) }
-
-// ---- Serving-path load harness ----
-
-// LoadConfig / LoadReport expose the deterministic open-loop load
-// generator (internal/load): seeded arrivals on the virtual clock,
-// a page/topics/attest request mix over the world model, and latency
-// histograms whose report is byte-identical across GOMAXPROCS and
-// worker counts.
-type (
-	LoadConfig    = load.Config
-	LoadMix       = load.Mix
-	LoadArrival   = load.Arrival
-	LoadReport    = load.Report
-	LoadPathStats = load.PathStats
-	LoadSLO       = load.SLO
-)
-
-// Load arrival processes.
-const (
-	LoadArrivalPoisson = load.ArrivalPoisson
-	LoadArrivalUniform = load.ArrivalUniform
-)
-
-// RunLoad executes one load run against the serving path and returns
-// the aggregated report (virtual req/s, p50/p99/p999 per path).
-func RunLoad(cfg LoadConfig) (*LoadReport, error) { return load.Run(cfg) }

@@ -13,12 +13,10 @@
 // With -check it becomes the regression gate (`make bench-gate`):
 // instead of printing a report it compares the parsed run against a
 // committed baseline and exits non-zero when a machine-independent
-// metric regressed by more than -tol. That covers allocs/op and B/op,
-// plus the serving-path SLO metrics reported by the deterministic load
-// harness (p50_ms/p99_ms/p999_ms must not rise, req_s must not fall) —
-// those are virtual-time quantities, identical on every host.
-// Wall-clock ns/op varies with the host, so it is reported but never
-// gates. Benchmarks missing from the baseline are advisory ("new").
+// metric regressed by more than -tol: allocs/op and B/op. Wall-clock
+// ns/op varies with the host, so it is reported but never gates; custom
+// metrics are recorded in the report but never gate either. Benchmarks
+// missing from the baseline are advisory ("new").
 //
 //	go test -run '^$' -bench . -benchmem . | benchjson -check BENCH_report.json -tol 0.2
 package main
@@ -74,27 +72,9 @@ func main() {
 	os.Stdout.Write(out)
 }
 
-// sloMetric classifies a custom b.ReportMetric unit that gates hard
-// like allocs/op. These come from the deterministic load harness —
-// virtual-time quantities, identical on every host — so a drift is a
-// real serving-path regression, never machine noise.
-//
-// lowerBetter metrics (latency quantiles) fail when they rise past
-// tolerance; higher-better ones (throughput) fail when they fall.
-func sloMetric(unit string) (gates, lowerBetter bool) {
-	switch unit {
-	case "p50_ms", "p99_ms", "p999_ms":
-		return true, true
-	case "req_s":
-		return true, false
-	}
-	return false, false
-}
-
-// gate compares the current run to the committed baseline. allocs/op,
-// B/op, and the virtual SLO metrics (p50_ms/p99_ms/p999_ms/req_s from
-// the load harness) are stable across machines, so they gate hard;
-// ns/op drift is printed for context only. Benchmarks present only on
+// gate compares the current run to the committed baseline. allocs/op
+// and B/op are stable across machines, so they gate hard; ns/op drift
+// is printed for context only. Benchmarks present only on
 // one side are reported as advisory — a benchmark missing from the
 // committed baseline is "new" and never fails the gate, so fresh
 // benchmarks land cleanly and the baseline is regenerated afterwards
@@ -136,35 +116,6 @@ func gate(report map[string]*entry, baselinePath string, tol float64, w io.Write
 			failures++
 			fmt.Fprintf(w, "REGRESSION %s %s: %.0f -> %.0f (+%.1f%%, tolerance %.0f%%)\n",
 				name, m.metric, m.base, m.got, (m.got/m.base-1)*100, tol*100)
-		}
-		// SLO metrics: units are sorted so the output order is stable.
-		units := make([]string, 0, len(base.Metrics))
-		for unit := range base.Metrics {
-			units = append(units, unit)
-		}
-		sort.Strings(units)
-		for _, unit := range units {
-			gates, lowerBetter := sloMetric(unit)
-			baseVal := base.Metrics[unit]
-			if !gates || baseVal <= 0 {
-				continue
-			}
-			gotVal, ok := got.Metrics[unit]
-			if !ok {
-				failures++
-				fmt.Fprintf(w, "REGRESSION %s %s: baseline %.3f but metric missing from run\n", name, unit, baseVal)
-				continue
-			}
-			switch {
-			case lowerBetter && gotVal > baseVal*(1+tol):
-				failures++
-				fmt.Fprintf(w, "REGRESSION %s %s: %.3f -> %.3f (+%.1f%%, SLO tolerance %.0f%%)\n",
-					name, unit, baseVal, gotVal, (gotVal/baseVal-1)*100, tol*100)
-			case !lowerBetter && gotVal < baseVal*(1-tol):
-				failures++
-				fmt.Fprintf(w, "REGRESSION %s %s: %.1f -> %.1f (%.1f%%, SLO tolerance %.0f%%)\n",
-					name, unit, baseVal, gotVal, (gotVal/baseVal-1)*100, tol*100)
-			}
 		}
 		if base.NsPerOp > 0 {
 			fmt.Fprintf(w, "%s ns/op: %.0f -> %.0f (%+.1f%%, advisory)\n",

@@ -33,34 +33,10 @@ func main() {
 		useChaos  = flag.Bool("chaos", false, "inject the paper-calibrated fault profile (5xx, resets, truncation, hard-down hosts)")
 		chaosSeed = flag.Uint64("chaos-seed", 1, "fault-injection seed (independent of the world seed)")
 		pprofAddr = flag.String("pprof", "", "also serve net/http/pprof and /__metrics on this address (e.g. 127.0.0.1:6060)")
-		selftest  = flag.Bool("selftest", false, "run the deterministic in-process load harness against this world, print the report, and exit (non-zero on SLO violation)")
-		sloP99    = flag.Float64("slo-p99-ms", 0, "with -selftest: fail when overall p99 exceeds this many virtual ms (0 = unchecked)")
-		sloReqS   = flag.Float64("slo-req-s", 0, "with -selftest: fail when virtual req/s falls below this (0 = unchecked)")
 	)
 	flag.Parse()
 
 	world := topicscope.GenerateWorld(topicscope.WorldConfig{Seed: *seed, NumSites: *sites})
-
-	if *selftest {
-		rep, err := topicscope.RunLoad(topicscope.LoadConfig{World: world, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-		slo := topicscope.LoadSLO{
-			MaxP99:       time.Duration(*sloP99 * float64(time.Millisecond)),
-			MinReqPerSec: *sloReqS,
-		}
-		if violations := rep.Check(slo); len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintln(os.Stderr, "SLO violation:", v)
-			}
-			os.Exit(1)
-		}
-		return
-	}
 
 	server := topicscope.NewServer(world, nil)
 

@@ -63,33 +63,6 @@ func ReadRecordRange(path string, from, to int64, fn func(*Visit) error) (*Range
 	})
 }
 
-// ReadRankRange streams every record whose site rank is >= fromRank into
-// fn. The frame index's completed-site watermarks bound the seek: every
-// record past a boundary belongs to a site ranked above its watermark,
-// so seeking to the latest boundary strictly below fromRank skips the
-// bulk of a big campaign without missing a record.
-func ReadRankRange(path string, fromRank int, fn func(*Visit) error) (*RangeStats, error) {
-	st := &RangeStats{}
-	var entry durable.FrameEntry
-	if fi := durable.LoadFrameIndex(path); fi != nil {
-		entry = fi.SeekRank(fromRank)
-		st.Indexed = entry.Offset > 0
-	}
-	st.SeekOffset = entry.Offset
-	return readRange(path, MemberRange{Start: entry.Offset, End: -1}, st, func(payload []byte) error {
-		var v Visit
-		if err := DecodeVisit(payload, &v); err != nil {
-			return fmt.Errorf("dataset: decoding record: %w", err)
-		}
-		if v.Rank < fromRank {
-			st.Skipped++
-			return nil
-		}
-		st.Records++
-		return fn(&v)
-	})
-}
-
 func deliverVisit(payload []byte, st *RangeStats, fn func(*Visit) error) error {
 	var v Visit
 	if err := DecodeVisit(payload, &v); err != nil {

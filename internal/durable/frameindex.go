@@ -86,20 +86,6 @@ func (fi *FrameIndex) SeekRecords(records int64) FrameEntry {
 	return best
 }
 
-// SeekRank returns the latest boundary strictly below the given rank:
-// every record past it has rank ≥ the boundary's watermark + 1, so a
-// reader after ranks ≥ rank misses nothing by seeking there.
-func (fi *FrameIndex) SeekRank(rank int) FrameEntry {
-	var best FrameEntry
-	for _, e := range fi.Entries {
-		if e.Rank >= rank {
-			break
-		}
-		best = e
-	}
-	return best
-}
-
 // Store atomically writes the frame index for the given journal path.
 func (fi *FrameIndex) Store(journalPath string) error {
 	return fi.StoreFS(nil, journalPath)

@@ -66,20 +66,6 @@ func TestFrameIndexSeek(t *testing.T) {
 			t.Errorf("SeekRecords(%d) = %+v, want offset %d", tc.records, got, tc.want)
 		}
 	}
-
-	// SeekRank: the latest boundary whose watermark is strictly below the
-	// wanted rank — every record past it has rank > watermark ≥ nothing
-	// the reader needs.
-	for _, tc := range []struct {
-		rank int
-		want int64
-	}{
-		{0, 0}, {4, 0}, {5, 100}, {9, 100}, {10, 250}, {17, 250}, {18, 400}, {1 << 20, 400},
-	} {
-		if got := fi.SeekRank(tc.rank); got.Offset != tc.want {
-			t.Errorf("SeekRank(%d) = %+v, want offset %d", tc.rank, got, tc.want)
-		}
-	}
 }
 
 // TestFrameIndexLoadSalvage pins the accelerator-never-authority

@@ -14,8 +14,8 @@ var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: `forbid nondeterminism sources in the determinism-critical packages
 (internal/analysis, internal/webworld, internal/chaos, internal/crawler,
-internal/dataset, internal/obs, internal/load, internal/durable,
-internal/orchestrator, internal/fsck): time.Now and time.Since
+internal/dataset, internal/obs, internal/durable, internal/orchestrator,
+internal/fsck): time.Now and time.Since
 read the wall clock; global math/rand functions draw from a process-wide
 unseeded source; ranging over a map while appending to a slice (without
 sorting it afterwards) or while writing output bakes random iteration
@@ -27,9 +27,6 @@ order into the result.`,
 		"internal/crawler",
 		"internal/dataset",
 		"internal/obs",
-		// The load harness promises a byte-identical report for any
-		// worker count, so it is determinism-critical end to end.
-		"internal/load",
 		// The durable journal and the orchestrator merge both promise
 		// byte-identical artifacts (replay-stable journals, shard-count
 		// invariant merged reports), so their code paths must not read

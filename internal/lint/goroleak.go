@@ -7,8 +7,8 @@ import (
 )
 
 // Goroleak requires every goroutine launched in the campaign-running
-// packages (internal/crawler, internal/orchestrator, internal/load) to
-// have a reachable join in the same function. A crawl worker that
+// packages (internal/crawler, internal/orchestrator) to have a
+// reachable join in the same function. A crawl worker that
 // nobody waits for outlives its campaign: it keeps a dataset journal,
 // an engine pool or a shard checkpoint pinned while the next campaign
 // starts, and across a long-running orchestrator the leaked goroutines
@@ -31,15 +31,13 @@ import (
 var Goroleak = &Analyzer{
 	Name: "goroleak",
 	Doc: `require a same-function join for every goroutine launched in
-internal/crawler, internal/orchestrator, internal/load: a
-WaitGroup Done/Wait pair or a done-channel the function observes
-(receive, range, or hand-off to a callee). Fire-and-forget goroutines
-leak across campaigns; externally-joined ones carry a justified
-//topicslint:ignore goroleak.`,
+internal/crawler, internal/orchestrator: a WaitGroup Done/Wait pair
+or a done-channel the function observes (receive, range, or hand-off
+to a callee). Fire-and-forget goroutines leak across campaigns;
+externally-joined ones carry a justified //topicslint:ignore goroleak.`,
 	AppliesTo: inPackages(
 		"internal/crawler",
 		"internal/orchestrator",
-		"internal/load",
 	),
 	Run: runGoroleak,
 }

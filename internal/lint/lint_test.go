@@ -1,8 +1,13 @@
 package lint
 
 import (
+	"go/ast"
+	"go/parser"
 	"go/token"
+	"io/fs"
+	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -193,6 +198,51 @@ func TestAnalyzerScopes(t *testing.T) {
 		if got := c.a.AppliesTo(c.rel); got != c.want {
 			t.Errorf("%s.AppliesTo(%q) = %v, want %v", c.a.Name, c.rel, got, c.want)
 		}
+	}
+}
+
+// TestScopesNameExistingPackages guards the inPackages scope lists: a
+// scope naming a deleted or renamed package silently checks nothing, so
+// every string literal passed to inPackages in this package's sources
+// must name a module directory that holds a non-test Go package.
+func TestScopesNameExistingPackages(t *testing.T) {
+	root := testLoader(t).ModuleDir
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scopes := 0
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "inPackages" {
+					return true
+				}
+				for _, arg := range call.Args {
+					lit, ok := arg.(*ast.BasicLit)
+					if !ok || lit.Kind != token.STRING {
+						t.Errorf("%s: inPackages argument is not a string literal", fset.Position(arg.Pos()))
+						continue
+					}
+					rel, _ := strconv.Unquote(lit.Value)
+					scopes++
+					if !hasGoFiles(filepath.Join(root, filepath.FromSlash(rel))) {
+						t.Errorf("%s: scope %q names no package in the module", fset.Position(lit.Pos()), rel)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if scopes == 0 {
+		t.Fatal("found no inPackages scopes to check")
 	}
 }
 

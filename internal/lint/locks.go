@@ -9,7 +9,7 @@ import (
 
 // Locks enforces mutex discipline in the concurrent serving and
 // aggregation packages (internal/obs, internal/webserver,
-// internal/load, internal/orchestrator):
+// internal/orchestrator):
 //
 //   - a Lock/RLock must be released on every return path of the
 //     function — either by an immediately-following defer Unlock, or by
@@ -36,15 +36,14 @@ import (
 var Locks = &Analyzer{
 	Name: "locks",
 	Doc: `enforce mutex discipline in internal/obs, internal/webserver,
-internal/load, internal/orchestrator: every Lock/RLock released on
-every return path (defer or explicit), no blocking calls (channel ops,
-selects, WaitGroup.Wait, exec waits, HTTP round-trips, vclock waits,
+internal/orchestrator: every Lock/RLock released on every return path
+(defer or explicit), no blocking calls (channel ops, selects,
+WaitGroup.Wait, exec waits, HTTP round-trips, vclock waits,
 interface-writer I/O) while a lock is held, and no writes to the
 guarded structure under an RLock.`,
 	AppliesTo: inPackages(
 		"internal/obs",
 		"internal/webserver",
-		"internal/load",
 		"internal/orchestrator",
 	),
 	Run: runLocks,

@@ -105,8 +105,8 @@ func NewRegistry() *Registry {
 // Histogram is a stable handle to one named histogram inside a
 // registry. Hot paths resolve the handle once (paying the metricKey
 // render and registry-map lookup a single time) and then Observe
-// through it with only a per-histogram lock — the load harness records
-// every request latency this way without contending on the registry
+// through it with only a per-histogram lock — the crawler records
+// per-stage latencies this way without contending on the registry
 // mutex.
 type Histogram struct {
 	mu sync.Mutex
@@ -174,14 +174,6 @@ func metricKey(name string, kv []string) string {
 	}
 	b = append(b, '}')
 	return string(b)
-}
-
-// MetricKey renders the canonical metric key for a name and label
-// pairs — the form Snapshot entries are named by. It lets consumers
-// (the load report, dashboards) look up snapshot entries without
-// duplicating the rendering rules.
-func MetricKey(name string, kv ...string) string {
-	return metricKey(name, kv)
 }
 
 // Add increments a counter by delta. kv are alternating label

@@ -129,8 +129,8 @@ func TestMetricKeyMatchesFmtQuote(t *testing.T) {
 	}
 	for _, v := range values {
 		want := "m{" + fmt.Sprintf("%s=%q", "b", "x") + "," + fmt.Sprintf("%s=%q", "stage", v) + "}"
-		if got := MetricKey("m", "stage", v, "b", "x"); got != want {
-			t.Errorf("MetricKey(stage=%q) = %s, want %s", v, got, want)
+		if got := metricKey("m", []string{"stage", v, "b", "x"}); got != want {
+			t.Errorf("metricKey(stage=%q) = %s, want %s", v, got, want)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // wireRegistry is the lossless JSON form of a registry. Unlike the
@@ -82,21 +81,4 @@ func ReadRegistry(rd io.Reader) (*Registry, error) {
 		r.hists[k] = h
 	}
 	return r, nil
-}
-
-// HistogramNames lists the registry's histogram keys in sorted order —
-// a cheap way for dashboards to discover stages without a full
-// snapshot.
-func (r *Registry) HistogramNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.hists))
-	for k := range r.hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

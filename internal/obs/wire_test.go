@@ -128,14 +128,3 @@ func TestHandlerServesJSONFormat(t *testing.T) {
 		t.Error("handler JSON diverges from registry state")
 	}
 }
-
-func TestHistogramNames(t *testing.T) {
-	r := wireFixture()
-	want := []string{`stage_latency{stage="classify"}`, `stage_latency{stage="fetch"}`}
-	if got := r.HistogramNames(); !reflect.DeepEqual(got, want) {
-		t.Errorf("names = %v, want %v", got, want)
-	}
-	if (*Registry)(nil).HistogramNames() != nil {
-		t.Error("nil registry should list no histograms")
-	}
-}

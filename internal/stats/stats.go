@@ -138,35 +138,3 @@ func (t *Table) Render() string {
 	}
 	return b.String()
 }
-
-// Histogram buckets float values for quick textual distribution checks.
-type Histogram struct {
-	Buckets []float64 // upper bounds, ascending
-	Counts  []int
-}
-
-// NewHistogram builds a histogram with the given ascending upper bounds;
-// values beyond the last bound land in an overflow bucket.
-func NewHistogram(bounds ...float64) *Histogram {
-	return &Histogram{Buckets: bounds, Counts: make([]int, len(bounds)+1)}
-}
-
-// Observe adds a value.
-func (h *Histogram) Observe(v float64) {
-	for i, b := range h.Buckets {
-		if v <= b {
-			h.Counts[i]++
-			return
-		}
-	}
-	h.Counts[len(h.Buckets)]++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}

@@ -72,20 +72,6 @@ func TestTableNoHeaders(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(1, 2, 3)
-	for _, v := range []float64{0.5, 1.5, 2.5, 3.5, 10} {
-		h.Observe(v)
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	want := []int{1, 1, 1, 2}
-	if !reflect.DeepEqual(h.Counts, want) {
-		t.Errorf("Counts = %v, want %v", h.Counts, want)
-	}
-}
-
 // Property: Counter.Total equals the number of Adds; Sorted is
 // monotonically non-increasing.
 func TestCounterProperties(t *testing.T) {

@@ -8,31 +8,51 @@ import (
 	"github.com/netmeasure/topicscope/internal/webworld"
 )
 
-// TestLandingPageFetchAllocs bounds the allocations of one landing-page
-// fetch through the in-process client — request headers, transport,
-// response writer and body read — once the server's page cache is warm.
-// The ceiling is the measured count (19) plus a small margin; bringing
-// back the net/http client plumbing — NewRequest's URL re-parse,
-// Client.Do's header clone, httptest's recorder, 37 allocations in all —
-// blows straight through it.
-func TestLandingPageFetchAllocs(t *testing.T) {
-	const ceiling = 21
-	site := findSite(t, func(s *webworld.Site) bool { return s.RedirectTo == "" })
+// fetchAllocs measures the allocations of one fetch attempt of rawURL
+// through the in-process client — request headers, transport, handler,
+// response writer and body string — after a warm-up fetch has filled
+// the server's page cache.
+func fetchAllocs(t *testing.T, site *webworld.Site, rawURL string) float64 {
+	t.Helper()
 	b := newTestBrowser(t, nil, nil)
 	b.SetConsent(site.Domain)
-	u, err := url.Parse("http://" + site.Domain + "/")
+	u, err := url.Parse(rawURL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	v := &PageVisit{visitedSite: site.Domain}
 	if _, body, err := b.fetchOnce(ctx, v, u, "", nil, 0); err != nil || body == "" {
-		t.Fatalf("warm-up fetch: %v (%d bytes)", err, len(body))
+		t.Fatalf("warm-up fetch of %s: %v (%d bytes)", rawURL, err, len(body))
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		b.fetchOnce(ctx, v, u, "", nil, 0) //nolint:errcheck // measured above
+	return testing.AllocsPerRun(200, func() {
+		b.fetchOnce(ctx, v, u, "", nil, 0) //nolint:errcheck // checked by the warm-up
 	})
-	if allocs > ceiling {
+}
+
+// TestLandingPageFetchAllocs bounds the allocations of one landing-page
+// fetch once the server's page cache is warm. The ceiling is the
+// measured count (12, down from 19) plus a small margin. Bringing back
+// the net/http client plumbing — NewRequest's URL re-parse, Client.Do's
+// header clone, httptest's recorder, 37 allocations in all — or reading
+// the body through io.ReadAll again blows straight through it.
+func TestLandingPageFetchAllocs(t *testing.T) {
+	const ceiling = 14
+	site := findSite(t, func(s *webworld.Site) bool { return s.RedirectTo == "" })
+	if allocs := fetchAllocs(t, site, "http://"+site.Domain+"/"); allocs > ceiling {
 		t.Errorf("landing-page fetch allocs/op = %g, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestSubresourceFetchAllocs is the same bound for a fixed asset, the
+// most common fetch of a crawl: the pixel's body and Content-Type are
+// shared package values, so beyond the request and response plumbing
+// only the body string is allocated. The ceiling is the measured count
+// (12) plus a small margin.
+func TestSubresourceFetchAllocs(t *testing.T) {
+	const ceiling = 14
+	site := findSite(t, func(s *webworld.Site) bool { return s.RedirectTo == "" })
+	if allocs := fetchAllocs(t, site, "http://"+site.Domain+"/static/2.png"); allocs > ceiling {
+		t.Errorf("/static/2.png fetch allocs/op = %g, ceiling %d", allocs, ceiling)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unique"
 
 	"github.com/netmeasure/topicscope/internal/attestation"
 	"github.com/netmeasure/topicscope/internal/chaos"
@@ -255,7 +256,7 @@ func (b *Browser) LoadPageTraced(ctx context.Context, site string, tr *obs.Trace
 		return v, fmt.Errorf("browser: loading %s: %w", site, err)
 	}
 	v.FinalURL = finalURL.String()
-	v.PageOrigin = etld.Normalize(finalURL.Host)
+	v.PageOrigin = keep(etld.Normalize(finalURL.Host))
 	v.Status = resp.StatusCode
 	if resp.StatusCode != http.StatusOK {
 		return v, fmt.Errorf("browser: loading %s: %w", site, &StatusError{Host: v.PageOrigin, Status: resp.StatusCode})
@@ -271,6 +272,7 @@ func (b *Browser) LoadPageTraced(ctx context.Context, site string, tr *obs.Trace
 	ec := &execCtx{
 		visit:   v,
 		pageURL: finalURL,
+		referer: v.FinalURL,
 		origin:  v.PageOrigin,
 		depth:   0,
 	}
@@ -320,7 +322,7 @@ func (b *Browser) fetch(ctx context.Context, v *PageVisit, u *url.URL, referer s
 	record := func(err error) {
 		res := dataset.Resource{
 			URL:        u.String(),
-			Host:       host,
+			Host:       keep(host),
 			ThirdParty: !etld.SameSite(host, v.visitedSite),
 		}
 		if err != nil {
@@ -456,7 +458,7 @@ func (b *Browser) fetchOnce(ctx context.Context, v *PageVisit, u *url.URL, refer
 		return nil, "", &url.Error{Op: "Get", URL: u.String(), Err: err}
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodySize))
+	body, err := readBody(resp.Body)
 	if err != nil {
 		return nil, "", fmt.Errorf("reading %s: %w", u, err)
 	}
@@ -469,8 +471,36 @@ func (b *Browser) fetchOnce(ctx context.Context, v *PageVisit, u *url.URL, refer
 		strings.HasPrefix(resp.Header.Get(ObserveHeader), "?1") {
 		b.cfg.Engine.Observe(v.visitedSite, etld.RegistrableDomain(etld.Normalize(u.Host)))
 	}
-	return resp, string(body), nil
+	return resp, body, nil
 }
+
+// readBody returns a response body as a string, cut at maxBodySize
+// bytes. A body that exposes its bytes — the in-process transport's,
+// see webserver.Transport — costs that one string copy. Any other body
+// (TCP, or one a wrapping transport replaced) is read through
+// io.LimitReader, which cuts at the same length.
+func readBody(r io.Reader) (string, error) {
+	if bb, ok := r.(interface{ Bytes() []byte }); ok {
+		p := bb.Bytes()
+		if len(p) > maxBodySize {
+			p = p[:maxBodySize]
+		}
+		return string(p), nil
+	}
+	p, err := io.ReadAll(io.LimitReader(r, maxBodySize))
+	if err != nil {
+		return "", err
+	}
+	return string(p), nil
+}
+
+// keep returns a canonical copy of s for a record that outlives the page
+// s came from. Hosts and callers are sliced from the page or script body
+// that named them; stored as they are, each would keep that whole body
+// alive for as long as the record lives. unique.Make copies a string
+// the first time it is seen and hands the same copy back,
+// allocation-free, for every repeat.
+func keep(s string) string { return unique.Make(s).Value() }
 
 // clientTimeoutError carries the text http.Client gives a request its
 // Timeout cut short, so TCP-crawl error strings stay as they were.

@@ -22,6 +22,9 @@ type execCtx struct {
 	// docURL is this context's document URL (= pageURL in the root
 	// context, the frame URL inside an iframe).
 	docURL *url.URL
+	// referer caches documentURL() rendered as the Referer of the
+	// context's requests; see refererURL.
+	referer string
 	// origin is the browsing context's origin host. Scripts execute with
 	// THIS origin, regardless of where their source file came from —
 	// the Figure 4 rule.
@@ -34,6 +37,15 @@ func (ec *execCtx) documentURL() *url.URL {
 		return ec.docURL
 	}
 	return ec.pageURL
+}
+
+// refererURL renders the document URL once per context, on the first
+// request that needs it: most frames send none.
+func (ec *execCtx) refererURL() string {
+	if ec.referer == "" {
+		ec.referer = ec.documentURL().String()
+	}
+	return ec.referer
 }
 
 // processDocument walks a parsed document, fetching subresources and
@@ -49,7 +61,7 @@ func (b *Browser) processDocument(ctx context.Context, ec *execCtx, doc *htmlx.N
 				// External script: fetched from its own host but
 				// EXECUTED in the embedding document's context.
 				if u, okURL := ec.resolve(src); okURL {
-					_, body, err := b.fetch(ctx, ec.visit, u, ec.documentURL().String(), nil)
+					_, body, err := b.fetch(ctx, ec.visit, u, ec.refererURL(), nil)
 					if err == nil {
 						b.execScript(ctx, ec, body)
 					}
@@ -70,7 +82,7 @@ func (b *Browser) processDocument(ctx context.Context, ec *execCtx, doc *htmlx.N
 			}
 			if ref, ok := n.Attr(attr); ok && ref != "" {
 				if u, okURL := ec.resolve(ref); okURL {
-					b.fetch(ctx, ec.visit, u, ec.documentURL().String(), nil) //nolint:errcheck // best-effort subresource
+					b.fetch(ctx, ec.visit, u, ec.refererURL(), nil) //nolint:errcheck // best-effort subresource
 				}
 			}
 		}
@@ -109,7 +121,7 @@ func (b *Browser) loadFrame(ctx context.Context, parent *execCtx, src string, br
 			extra = http.Header{TopicsRequestHeader: []string{hdr}}
 		}
 	}
-	_, body, err := b.fetch(ctx, parent.visit, u, parent.documentURL().String(), extra)
+	_, body, err := b.fetch(ctx, parent.visit, u, parent.refererURL(), extra)
 	if err != nil {
 		return
 	}

@@ -83,7 +83,7 @@ func (b *Browser) execDirective(ctx context.Context, ec *execCtx, tokens []strin
 				extra = http.Header{TopicsRequestHeader: []string{hdr}}
 			}
 		}
-		b.fetch(ctx, ec.visit, u, ec.documentURL().String(), extra) //nolint:errcheck // best-effort beacon
+		b.fetch(ctx, ec.visit, u, ec.refererURL(), extra) //nolint:errcheck // best-effort beacon
 	case "iframe":
 		srcArg, browsingTopics := parseArgs(tokens[1:], "src", "browsingtopics")
 		if srcArg == "" {
@@ -139,10 +139,10 @@ func (b *Browser) topicsCall(v *PageVisit, typ dataset.CallType, caller, context
 	}
 
 	v.Calls = append(v.Calls, dataset.TopicsCall{
-		Caller:         caller,
+		Caller:         keep(caller),
 		Site:           v.visitedSite,
 		Type:           typ,
-		ContextOrigin:  contextOrigin,
+		ContextOrigin:  keep(contextOrigin),
 		Timestamp:      b.cfg.Now(),
 		GateAllowed:    b.cfg.ReferenceAllowlist.Contains(caller),
 		GateReason:     decision.Reason.String(),

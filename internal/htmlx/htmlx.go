@@ -19,9 +19,11 @@ import (
 type Node struct {
 	// Tag is the lowercase element name; empty for text nodes.
 	Tag string
-	// Attrs holds the element attributes with lowercase names. Boolean
-	// attributes map to "".
-	Attrs map[string]string
+	// Attrs holds the element attributes in source order, once per
+	// lowercase name: a repeated name keeps its first position and its
+	// last value. Boolean attributes have the value "". Read them
+	// through Attr and HasAttr.
+	Attrs []Attribute
 	// Children are the child nodes in document order.
 	Children []*Node
 	// Text is the content of a text node, or the raw body for script
@@ -29,17 +31,37 @@ type Node struct {
 	Text string
 }
 
+// Attribute is one element attribute.
+type Attribute struct {
+	// Name is the lowercase attribute name.
+	Name string
+	// Value is the entity-decoded value; "" for a boolean attribute.
+	Value string
+}
+
 // Attr returns the value of an attribute and whether it is present.
 func (n *Node) Attr(name string) (string, bool) {
-	v, ok := n.Attrs[strings.ToLower(name)]
-	return v, ok
+	if i := n.attrIndex(name); i >= 0 {
+		return n.Attrs[i].Value, true
+	}
+	return "", false
 }
 
 // HasAttr reports whether the attribute is present (including boolean
 // attributes like "browsingtopics").
-func (n *Node) HasAttr(name string) bool {
-	_, ok := n.Attrs[strings.ToLower(name)]
-	return ok
+func (n *Node) HasAttr(name string) bool { return n.attrIndex(name) >= 0 }
+
+func (n *Node) attrIndex(name string) int {
+	if len(n.Attrs) == 0 {
+		return -1
+	}
+	name = strings.ToLower(name)
+	for i := range n.Attrs {
+		if n.Attrs[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // voidElements never have children.
@@ -64,7 +86,17 @@ func Parse(html string) *Node {
 type parser struct {
 	src string
 	pos int
+	// attrs is the parse's attribute arena: every element's Attrs is
+	// carved from it, so a document costs one or two allocations instead
+	// of one per element. tagStart is where the element being read
+	// begins its run.
+	attrs    []Attribute
+	tagStart int
 }
+
+// arenaSize is the attribute arena's first capacity, enough for a
+// typical synthetic landing page.
+const arenaSize = 64
 
 func (p *parser) eof() bool { return p.pos >= len(p.src) }
 
@@ -169,7 +201,8 @@ func (p *parser) readStartTag() (node *Node, selfClosing bool) {
 		// "<" followed by junk: treat as text, skip the bracket.
 		return nil, false
 	}
-	node = &Node{Tag: name, Attrs: map[string]string{}}
+	node = &Node{Tag: name}
+	defer p.setAttrs(node)
 	for {
 		p.skipSpace()
 		if p.eof() {
@@ -188,10 +221,37 @@ func (p *parser) readStartTag() (node *Node, selfClosing bool) {
 		default:
 			aname, aval := p.readAttr()
 			if aname != "" {
-				node.Attrs[strings.ToLower(aname)] = aval
+				p.addAttr(strings.ToLower(aname), aval)
 			}
 		}
 	}
+}
+
+// addAttr appends an attribute of the element being read to the arena;
+// a repeated name overwrites the earlier value in place. The element's
+// attributes so far are the arena's [tagStart:] run. When append moves
+// the arena to a bigger array, elements already read keep their slices
+// of the old one.
+func (p *parser) addAttr(name, val string) {
+	for i := p.tagStart; i < len(p.attrs); i++ {
+		if p.attrs[i].Name == name {
+			p.attrs[i].Value = val
+			return
+		}
+	}
+	if p.attrs == nil {
+		p.attrs = make([]Attribute, 0, arenaSize)
+	}
+	p.attrs = append(p.attrs, Attribute{Name: name, Value: val})
+}
+
+// setAttrs hands the element being read its run of the arena, capped so
+// that nothing appended later can reach into it, and opens the next run.
+func (p *parser) setAttrs(node *Node) {
+	if len(p.attrs) > p.tagStart {
+		node.Attrs = p.attrs[p.tagStart:len(p.attrs):len(p.attrs)]
+	}
+	p.tagStart = len(p.attrs)
 }
 
 func (p *parser) readAttr() (string, string) {

@@ -1,6 +1,8 @@
 package htmlx
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -225,5 +227,73 @@ func TestIndexEndTagAllocationFree(t *testing.T) {
 	doc := strings.Repeat("<div>x</div>", 64) + "</SCRIPT>"
 	if allocs := testing.AllocsPerRun(100, func() { indexEndTag(doc, "script") }); allocs != 0 {
 		t.Errorf("indexEndTag allocs/op = %g, want 0", allocs)
+	}
+}
+
+// TestAttributeSemantics pins what Attr and HasAttr answer for the
+// attribute shapes a page can carry: names match case-insensitively,
+// the last of a repeated name wins, a boolean attribute reads as "",
+// and an unquoted value runs to the next space or '>'.
+func TestAttributeSemantics(t *testing.T) {
+	type want struct {
+		name, value string
+		present     bool
+	}
+	cases := []struct {
+		html  string
+		attrs []want
+		count int // distinct names on the element
+	}{
+		{`<a X=1 x=2>`, []want{{"x", "2", true}, {"X", "2", true}}, 1},
+		{`<a x=1 x=2 x=3>`, []want{{"x", "3", true}}, 1},
+		{`<a x="1" y x='' >`, []want{{"x", "", true}, {"y", "", true}}, 2},
+		{`<a HREF="/A" Data-Id=Z>`, []want{{"href", "/A", true}, {"data-id", "Z", true}, {"DATA-ID", "Z", true}}, 2},
+		{`<iframe browsingtopics src=//a.com/f>`, []want{{"browsingtopics", "", true}, {"src", "//a.com/f", true}}, 2},
+		{`<img src=/a.png/>`, []want{{"src", "/a.png/", true}}, 1},
+		{`<a b = "c d" e=f&amp;g>`, []want{{"b", "c d", true}, {"e", "f&g", true}}, 2},
+		{`<p>`, []want{{"id", "", false}, {"", "", false}}, 0},
+		{`<a xlink:href=u x:y>`, []want{{"xlink:href", "u", true}, {"x:y", "", true}}, 2},
+	}
+	for _, tc := range cases {
+		n := Parse(tc.html).Children[0]
+		for _, w := range tc.attrs {
+			v, ok := n.Attr(w.name)
+			if v != w.value || ok != w.present {
+				t.Errorf("%s: Attr(%q) = %q, %v; want %q, %v", tc.html, w.name, v, ok, w.value, w.present)
+			}
+			if n.HasAttr(w.name) != w.present {
+				t.Errorf("%s: HasAttr(%q) = %v, want %v", tc.html, w.name, !w.present, w.present)
+			}
+		}
+		if len(n.Attrs) != tc.count {
+			t.Errorf("%s: %d attributes %v, want %d", tc.html, len(n.Attrs), n.Attrs, tc.count)
+		}
+	}
+}
+
+// TestAttributeArenaIsolation parses a page with more attributes than
+// the arena first holds: every element must keep its own values, and
+// appending to one element's Attrs must not write into its neighbour's.
+func TestAttributeArenaIsolation(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 3*arenaSize; i++ {
+		fmt.Fprintf(&b, `<i a=%d b=%d c>`, i, i+1)
+	}
+	els := Parse(b.String()).FindAll("i")
+	if len(els) != 3*arenaSize {
+		t.Fatalf("%d elements", len(els))
+	}
+	for i, n := range els {
+		if a, _ := n.Attr("a"); a != strconv.Itoa(i) {
+			t.Fatalf("element %d: a = %q", i, a)
+		}
+		if bv, _ := n.Attr("b"); bv != strconv.Itoa(i+1) || !n.HasAttr("c") {
+			t.Fatalf("element %d: b = %q, c present %v", i, bv, n.HasAttr("c"))
+		}
+	}
+	first := els[0]
+	first.Attrs = append(first.Attrs, Attribute{Name: "z", Value: "1"})
+	if els[1].Attrs[0].Name != "a" || els[1].HasAttr("z") {
+		t.Errorf("append to one element's attributes reached the next: %v", els[1].Attrs)
 	}
 }

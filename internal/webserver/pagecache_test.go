@@ -24,7 +24,7 @@ func TestPageCacheVariants(t *testing.T) {
 			if first != again {
 				t.Errorf("consented=%v eu=%v: cached page differs between calls", consented, eu)
 			}
-			if fresh := srv.sitePage(site, site.Domain, consented, eu); first != fresh {
+			if fresh := string(srv.renderSitePage(site, site.Domain, consented, eu)); first != fresh {
 				t.Errorf("consented=%v eu=%v: cached page differs from fresh render", consented, eu)
 			}
 			seen[first] = true
@@ -50,7 +50,7 @@ func TestPageCacheVariants(t *testing.T) {
 func TestPageCacheConcurrent(t *testing.T) {
 	srv := New(testWorld, testClock)
 	site := pickSite(t, func(s *webworld.Site) bool { return s.RedirectTo == "" })
-	want := srv.sitePage(site, site.Domain, false, true)
+	want := string(srv.renderSitePage(site, site.Domain, false, true))
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -1,9 +1,11 @@
 package webserver
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"strings"
+	"sync"
 
 	"github.com/netmeasure/topicscope/internal/etld"
 
@@ -12,26 +14,41 @@ import (
 	"github.com/netmeasure/topicscope/internal/webworld"
 )
 
-// sitePage renders a site's landing page for the given consent state
-// and visitor jurisdiction. Non-EU visitors see the banner only on EU
-// sites (EU publishers apply the GDPR to everyone; the rest geo-fence),
-// and non-gated pages serve their ad stack immediately — the behaviour
-// §6 suspects a non-EU vantage would observe.
-func (s *Server) sitePage(site *webworld.Site, host string, consented, eu bool) string {
-	var b strings.Builder
-	b.WriteString("<!DOCTYPE html>\n<html>\n<head>\n")
-	fmt.Fprintf(&b, "  <title>%s</title>\n", pageTitle(site))
-	fmt.Fprintf(&b, "  <meta charset=\"utf-8\">\n  <meta name=\"language\" content=%q>\n", site.Language)
+// renderBufs recycles the buffers landing pages render into,
+// so a render costs one exact-size allocation: the cache keeps that
+// copy for the rest of the campaign, and spare capacity would stay
+// resident with it.
+var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// renderSitePage renders a landing page into a pooled buffer and
+// returns an exact-size copy of it.
+func (s *Server) renderSitePage(site *webworld.Site, host string, consented, eu bool) []byte {
+	bp := renderBufs.Get().(*[]byte)
+	*bp = s.appendSitePage((*bp)[:0], site, host, consented, eu)
+	page := bytes.Clone(*bp)
+	renderBufs.Put(bp)
+	return page
+}
+
+// appendSitePage appends a site's landing page for the given consent
+// state and visitor jurisdiction to b. Non-EU visitors see the banner
+// only on EU sites (EU publishers apply the GDPR to everyone; the rest
+// geo-fence), and non-gated pages serve their ad stack immediately —
+// the behaviour §6 suspects a non-EU vantage would observe.
+func (s *Server) appendSitePage(b []byte, site *webworld.Site, host string, consented, eu bool) []byte {
+	b = append(b, "<!DOCTYPE html>\n<html>\n<head>\n"...)
+	b = fmt.Appendf(b, "  <title>%s</title>\n", pageTitle(site))
+	b = fmt.Appendf(b, "  <meta charset=\"utf-8\">\n  <meta name=\"language\" content=%q>\n", site.Language)
 
 	// First-party subresources.
 	for i := 0; i < site.FirstPartyResources; i++ {
 		switch i % 3 {
 		case 0:
-			fmt.Fprintf(&b, "  <link rel=\"stylesheet\" href=\"/static/%d.css\">\n", i)
+			b = fmt.Appendf(b, "  <link rel=\"stylesheet\" href=\"/static/%d.css\">\n", i)
 		case 1:
-			fmt.Fprintf(&b, "  <script src=\"/static/%d.js\"></script>\n", i)
+			b = fmt.Appendf(b, "  <script src=\"/static/%d.js\"></script>\n", i)
 		default:
-			fmt.Fprintf(&b, "  <img src=\"/static/%d.png\">\n", i)
+			b = fmt.Appendf(b, "  <img src=\"/static/%d.png\">\n", i)
 		}
 	}
 
@@ -39,30 +56,31 @@ func (s *Server) sitePage(site *webworld.Site, host string, consented, eu bool) 
 	// fingerprint Figure 7 relies on.
 	if site.CMP != "" {
 		if cmp, ok := cmpdb.ByName(site.CMP); ok {
-			fmt.Fprintf(&b, "  <script src=\"//%s/consent.js\"></script>\n", cmp.Domain)
-			fmt.Fprintf(&b, "  <link rel=\"stylesheet\" href=\"//%s/banner.css\">\n", cmp.Domain)
+			b = fmt.Appendf(b, "  <script src=\"//%s/consent.js\"></script>\n", cmp.Domain)
+			b = fmt.Appendf(b, "  <link rel=\"stylesheet\" href=\"//%s/banner.css\">\n", cmp.Domain)
 		}
 	}
 
 	// Google Tag Manager, included the canonical (and origin-confusing)
 	// way: a <script src> directly in the page, per Figure 4.
 	if site.HasGTM {
-		fmt.Fprintf(&b, "  <script src=\"//%s/gtm.js?id=GTM-%s\"></script>\n",
+		b = fmt.Appendf(b, "  <script src=\"//%s/gtm.js?id=GTM-%s\"></script>\n",
 			webworld.GTMDomain, gtmContainerID(site.Domain))
 	}
 	if site.OtherLibTopicsCall {
-		b.WriteString("  <script src=\"/js/ads-lib.js\"></script>\n")
+		b = append(b, "  <script src=\"/js/ads-lib.js\"></script>\n"...)
 	}
-	b.WriteString("</head>\n<body>\n")
+	b = append(b, "</head>\n<body>\n"...)
 
 	// Privacy banner (first visit only; geo-fenced for non-EU visitors).
 	showBanner := site.HasBanner && (eu || site.Region == etld.RegionEU)
 	if showBanner && !consented {
-		b.WriteString(bannerHTML(site))
+		b = appendBanner(b, site)
 	}
 
-	fmt.Fprintf(&b, "  <header><h1>%s</h1></header>\n", pageTitle(site))
-	fmt.Fprintf(&b, "  <main><p>%s</p><a href=\"/privacy\">Privacy</a></main>\n", bodyCopy(site))
+	b = fmt.Appendf(b, "  <header><h1>%s</h1></header>\n", pageTitle(site))
+	b = fmt.Appendf(b, "  <main><p>Welcome to %s — ranked #%d. Fresh content every day.</p><a href=\"/privacy\">Privacy</a></main>\n",
+		site.Domain, site.Rank)
 
 	// Ad-platform tags: before consent they load only where the site's
 	// gating (CMP or custom) and region practices let them — the
@@ -71,7 +89,7 @@ func (s *Server) sitePage(site *webworld.Site, host string, consented, eu bool) 
 	// so the stack loads unconditionally.
 	if consented || site.LoadsAdsPreConsent() || (!eu && !showBanner) {
 		for _, domain := range site.Platforms {
-			fmt.Fprintf(&b, "  <script src=\"//%s/tag.js\"></script>\n", domain)
+			b = fmt.Appendf(b, "  <script src=\"//%s/tag.js\"></script>\n", domain)
 		}
 	}
 
@@ -79,14 +97,13 @@ func (s *Server) sitePage(site *webworld.Site, host string, consented, eu bool) 
 	// widgets) — they dominate the §2.4 unique-third-party count.
 	for i, h := range site.LongTail {
 		if i%2 == 0 {
-			fmt.Fprintf(&b, "  <script src=\"//%s/w.js\"></script>\n", h)
+			b = fmt.Appendf(b, "  <script src=\"//%s/w.js\"></script>\n", h)
 		} else {
-			fmt.Fprintf(&b, "  <img src=\"//%s/px.gif\">\n", h)
+			b = fmt.Appendf(b, "  <img src=\"//%s/px.gif\">\n", h)
 		}
 	}
 
-	b.WriteString("</body>\n</html>\n")
-	return b.String()
+	return append(b, "</body>\n</html>\n"...)
 }
 
 func pageTitle(site *webworld.Site) string {
@@ -95,11 +112,6 @@ func pageTitle(site *webworld.Site) string {
 		label = label[:i]
 	}
 	return titleCase(strings.ReplaceAll(label, "-", " "))
-}
-
-func bodyCopy(site *webworld.Site) string {
-	return fmt.Sprintf("Welcome to %s — ranked #%d. Fresh content every day.",
-		site.Domain, site.Rank)
 }
 
 // gtmContainerID derives a stable GTM container id from the site.
@@ -143,8 +155,8 @@ var bannerTexts = map[string]struct{ notice, accept, reject string }{
 // the ObscureBanner sites to model its ≈5–8% miss rate.
 const obscureAccept = "Continue with recommended settings"
 
-// bannerHTML renders the consent banner in the site's language.
-func bannerHTML(site *webworld.Site) string {
+// appendBanner appends the consent banner in the site's language.
+func appendBanner(b []byte, site *webworld.Site) []byte {
 	texts, ok := bannerTexts[site.Language]
 	if !ok {
 		texts = bannerTexts["en"]
@@ -158,7 +170,7 @@ func bannerHTML(site *webworld.Site) string {
 	if site.ObscureBanner {
 		accept = obscureAccept
 	}
-	return fmt.Sprintf(`  <div id="privacy-banner" class="cookie-banner" lang=%q>
+	return fmt.Appendf(b, `  <div id="privacy-banner" class="cookie-banner" lang=%q>
     <p>%s</p>
     <button id="pa-accept" data-consent="accept">%s</button>
     <button id="pa-reject" data-consent="reject">%s</button>

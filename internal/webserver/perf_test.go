@@ -11,8 +11,8 @@ import (
 )
 
 // discardWriter is a reusable ResponseWriter that keeps one header map
-// alive across requests — the shape the load harness drives the server
-// with, so the alloc measurements below see only the server's own work.
+// alive across requests and counts the body bytes it is handed, so the
+// alloc measurements below see only the server's own work.
 type discardWriter struct {
 	h      http.Header
 	status int

@@ -2,7 +2,7 @@ package webserver
 
 import (
 	"fmt"
-	"strings"
+	"io"
 	"time"
 
 	"github.com/netmeasure/topicscope/internal/adcatalog"
@@ -25,16 +25,16 @@ import (
 // the browser evaluates against the page's consent state (the client-side
 // TCF check of real tags); the rest call regardless — the questionable
 // behaviour of Figure 5.
-func (s *Server) platformTag(p *adcatalog.Platform, siteHost string, now time.Time) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "// %s tag\n", p.Domain)
+func (s *Server) platformTag(p *adcatalog.Platform, siteHost string, now time.Time) []byte {
+	b := make([]byte, 0, 160)
+	b = fmt.Appendf(b, "// %s tag\n", p.Domain)
 	// Presence beacon: lets the crawler see the platform on the page
 	// even when the Topics integration is off ("CP present but not
 	// called", Figure 2).
-	fmt.Fprintf(&b, "#ts fetch url=//%s/px.gif\n", p.Domain)
+	b = fmt.Appendf(b, "#ts fetch url=//%s/px.gif\n", p.Domain)
 
 	if siteHost == "" || !p.CallsTopics || !p.EnabledOn(siteHost, now) {
-		return b.String()
+		return b
 	}
 	guard := ""
 	if p.GuardsConsentOn(siteHost) {
@@ -42,22 +42,22 @@ func (s *Server) platformTag(p *adcatalog.Platform, siteHost string, now time.Ti
 	}
 	switch p.CallTypeFor(siteHost) {
 	case dataset.CallJavaScript:
-		fmt.Fprintf(&b, "#ts %siframe src=//%s/topics-frame.html\n", guard, p.Domain)
+		b = fmt.Appendf(b, "#ts %siframe src=//%s/topics-frame.html\n", guard, p.Domain)
 	case dataset.CallFetch:
-		fmt.Fprintf(&b, "#ts %sfetch url=//%s/t topics\n", guard, p.Domain)
+		b = fmt.Appendf(b, "#ts %sfetch url=//%s/t topics\n", guard, p.Domain)
 	case dataset.CallIframe:
-		fmt.Fprintf(&b, "#ts %siframe src=//%s/ad.html browsingtopics\n", guard, p.Domain)
+		b = fmt.Appendf(b, "#ts %siframe src=//%s/ad.html browsingtopics\n", guard, p.Domain)
 	}
-	return b.String()
+	return b
 }
 
-// topicsFrame is the platform-origin iframe whose script performs the
-// JavaScript-type call: executed inside the frame, the call's context
-// origin is the platform, not the page (Figure 4, correct deployment).
-// Consent is enforced at the tag that opens the frame, so the frame
-// itself calls unconditionally.
-func (s *Server) topicsFrame(p *adcatalog.Platform) string {
-	return fmt.Sprintf(`<!DOCTYPE html>
+// writeTopicsFrame writes the platform-origin iframe whose script
+// performs the JavaScript-type call: executed inside the frame, the
+// call's context origin is the platform, not the page (Figure 4,
+// correct deployment). Consent is enforced at the tag that opens the
+// frame, so the frame itself calls unconditionally.
+func writeTopicsFrame(w io.Writer, p *adcatalog.Platform) {
+	fmt.Fprintf(w, `<!DOCTYPE html>
 <html><head><title>%s</title></head>
 <body>
 <script>

@@ -67,10 +67,46 @@ type Server struct {
 	pages   map[pageKey][]byte
 }
 
-// contentTypeHTML is a shared pre-built header value: assigning it into
-// the response header map avoids the per-request single-element slice
-// allocation of Header().Set. Shared values must never be mutated.
-var contentTypeHTML = []string{"text/html; charset=utf-8"}
+// Shared pre-built header values: assigning one into the response
+// header map avoids the per-request single-element slice allocation of
+// Header().Set. Shared values must never be mutated; each has len ==
+// cap, so an Add on top of one copies instead of writing into it.
+var (
+	contentTypeHTML = []string{"text/html; charset=utf-8"}
+	contentTypeJS   = []string{"application/javascript"}
+	contentTypeCSS  = []string{"text/css"}
+	contentTypeGIF  = []string{"image/gif"}
+	contentTypeText = []string{"text/plain"}
+	contentTypeJSON = []string{"application/json"}
+	contentTypeProm = []string{"text/plain; version=0.0.4; charset=utf-8"}
+	observeTopics   = []string{"?1"}
+)
+
+// Fixed response bodies, shared by every request and never mutated.
+var (
+	pixelGIF       = []byte("GIF89a\x01\x00\x01\x00\x80\x00\x00\x00\x00\x00\x00\x00\x00!\xf9\x04\x01\x00\x00\x00\x00,\x00\x00\x00\x00\x01\x00\x01\x00\x00\x02\x02D\x01\x00;")
+	staticCSS      = []byte("body{margin:0}\n")
+	staticJS       = []byte("// site script\n")
+	adsLibCalling  = []byte("// legacy ads helper\n#ts call\n")
+	adsLibInert    = []byte("// ads helper (inert)\n")
+	cmpLoader      = []byte("// consent management platform loader\n")
+	cmpBannerCSS   = []byte(".cookie-banner{position:fixed;bottom:0}\n")
+	gtmInert       = []byte("// gtm container (inert)\n")
+	longTailWidget = []byte("// third-party widget\n")
+	longTailOK     = []byte("ok\n")
+)
+
+// writeShared writes an immutable body. The in-process transport's
+// writer keeps the slice instead of copying it, as Write must (fmt
+// reuses its buffer once Write returns); any other ResponseWriter gets
+// a plain Write.
+func writeShared(w http.ResponseWriter, p []byte) {
+	if rw, ok := w.(*responseWriter); ok {
+		rw.writeShared(p)
+		return
+	}
+	w.Write(p) //nolint:errcheck // a failed response write has no one to report to
+}
 
 // pageKey identifies one cached rendering of a site's landing page.
 type pageKey struct {
@@ -92,7 +128,7 @@ func (s *Server) cachedSitePage(site *webworld.Site, host string, consented, eu 
 		return page
 	}
 	//topicslint:ignore hotpath cache-miss render runs once per (site, consent, vantage) key, every later request hits the byte-slice cache
-	rendered := []byte(s.sitePage(site, host, consented, eu))
+	rendered := s.renderSitePage(site, host, consented, eu)
 	s.pagesMu.Lock()
 	if page, ok = s.pages[key]; ok {
 		// Lost the render race; keep the first stored copy so every
@@ -234,25 +270,24 @@ func (s *Server) serveSite(w http.ResponseWriter, r *http.Request, site *webworl
 	switch {
 	case r.URL.Path == "/":
 		// The landing page is the serving path's hottest endpoint:
-		// assign a shared (never-mutated) header slice and write the
-		// cached bytes directly — Header().Set and fmt.Fprint of a
-		// string each allocate per request.
+		// assign a shared (never-mutated) header slice and hand over
+		// the cached bytes — Header().Set and fmt.Fprint of a string
+		// each allocate per request.
 		w.Header()["Content-Type"] = contentTypeHTML
-		w.Write(s.cachedSitePage(site, host, hasConsent(r), euVisitor(r)))
+		writeShared(w, s.cachedSitePage(site, host, hasConsent(r), euVisitor(r)))
 	case strings.HasPrefix(r.URL.Path, "/static/"):
 		serveStatic(w, r.URL.Path)
 	case r.URL.Path == "/js/ads-lib.js":
 		// The non-GTM first-party library with a root-context
 		// browsingTopics() call (§4's remaining anomalous sites).
-		w.Header().Set("Content-Type", "application/javascript")
+		w.Header()["Content-Type"] = contentTypeJS
 		if site.OtherLibTopicsCall {
-			fmt.Fprintln(w, "// legacy ads helper")
-			fmt.Fprintln(w, "#ts call")
+			writeShared(w, adsLibCalling)
 		} else {
-			fmt.Fprintln(w, "// ads helper (inert)")
+			writeShared(w, adsLibInert)
 		}
 	case r.URL.Path == "/privacy":
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		w.Header()["Content-Type"] = contentTypeHTML
 		fmt.Fprintf(w, "<html><body><h1>Privacy policy of %s</h1></body></html>", host)
 	default:
 		http.NotFound(w, r)
@@ -263,23 +298,25 @@ func (s *Server) serveSite(w http.ResponseWriter, r *http.Request, site *webworl
 func (s *Server) servePlatform(w http.ResponseWriter, r *http.Request, p *adcatalog.Platform, host string) {
 	switch r.URL.Path {
 	case "/tag.js":
-		w.Header().Set("Content-Type", "application/javascript")
-		fmt.Fprint(w, s.platformTag(p, refererHost(r), s.requestNow(r)))
+		w.Header()["Content-Type"] = contentTypeJS
+		// The tag is rendered fresh for this request and never touched
+		// again, so the writer may keep it.
+		writeShared(w, s.platformTag(p, refererHost(r), s.requestNow(r)))
 	case "/topics-frame.html":
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		fmt.Fprint(w, s.topicsFrame(p))
+		w.Header()["Content-Type"] = contentTypeHTML
+		writeTopicsFrame(w, p)
 	case "/ad.html":
 		// Target of <iframe browsingtopics>: acknowledge observation.
 		if r.Header.Get(TopicsRequestHeader) != "" {
-			w.Header().Set(ObserveHeader, "?1")
+			w.Header()[ObserveHeader] = observeTopics
 		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		w.Header()["Content-Type"] = contentTypeHTML
 		fmt.Fprintf(w, "<html><body><p>ad by %s</p></body></html>", host)
 	case "/t":
 		// Fetch-call endpoint: topics arrive in the request header; the
 		// response asks the browser to record the observation.
 		if r.Header.Get(TopicsRequestHeader) != "" {
-			w.Header().Set(ObserveHeader, "?1")
+			w.Header()[ObserveHeader] = observeTopics
 		}
 		w.WriteHeader(http.StatusNoContent)
 	case "/px.gif":
@@ -296,11 +333,11 @@ func (s *Server) servePlatform(w http.ResponseWriter, r *http.Request, p *adcata
 func (s *Server) serveCMP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/consent.js":
-		w.Header().Set("Content-Type", "application/javascript")
-		fmt.Fprintln(w, "// consent management platform loader")
+		w.Header()["Content-Type"] = contentTypeJS
+		writeShared(w, cmpLoader)
 	case "/banner.css":
-		w.Header().Set("Content-Type", "text/css")
-		fmt.Fprintln(w, ".cookie-banner{position:fixed;bottom:0}")
+		w.Header()["Content-Type"] = contentTypeCSS
+		writeShared(w, cmpBannerCSS)
 	default:
 		http.NotFound(w, r)
 	}
@@ -315,40 +352,44 @@ func (s *Server) serveGTM(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	w.Header().Set("Content-Type", "application/javascript")
+	w.Header()["Content-Type"] = contentTypeJS
 	site, ok := s.World.SiteByDomain(refererHost(r))
 	if !ok || !site.HasGTM {
-		fmt.Fprintln(w, "// gtm container (inert)")
+		writeShared(w, gtmInert)
 		return
 	}
-	fmt.Fprintln(w, "// gtm container", r.URL.Query().Get("id"))
-	fmt.Fprintln(w, "#ts fetch url=//"+webworld.GTMDomain+"/px.gif")
+	// The container is built in one buffer the writer may keep: one
+	// allocation instead of a body copy per line.
+	b := make([]byte, 0, 128)
+	b = fmt.Appendln(b, "// gtm container", r.URL.Query().Get("id"))
+	b = fmt.Appendln(b, "#ts fetch url=//"+webworld.GTMDomain+"/px.gif")
 	if site.GTMTopicsCall {
 		directive := "#ts call"
 		if site.GTMConsentMode {
 			directive = "#ts if-consent call"
 		}
-		fmt.Fprintln(w, directive)
+		b = fmt.Appendln(b, directive)
 		// Containers with several topics-reaching tags call more than
 		// once per page; the paper counts 3,450 anomalous calls from
 		// 2,614 CPs (§2.2: "possible multiple calls from the same CP on
 		// the same webpage").
 		if gtmDoubleCall(site.Domain) {
-			fmt.Fprintln(w, directive)
+			b = fmt.Appendln(b, directive)
 		}
 	}
+	writeShared(w, b)
 }
 
 func (s *Server) serveLongTail(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case strings.HasSuffix(r.URL.Path, ".js"):
-		w.Header().Set("Content-Type", "application/javascript")
-		fmt.Fprintln(w, "// third-party widget")
+		w.Header()["Content-Type"] = contentTypeJS
+		writeShared(w, longTailWidget)
 	case strings.HasSuffix(r.URL.Path, ".gif"):
 		servePixel(w)
 	default:
-		w.Header().Set("Content-Type", "text/plain")
-		fmt.Fprintln(w, "ok")
+		w.Header()["Content-Type"] = contentTypeText
+		writeShared(w, longTailOK)
 	}
 }
 
@@ -363,18 +404,18 @@ func gtmDoubleCall(domain string) bool {
 func serveStatic(w http.ResponseWriter, path string) {
 	switch {
 	case strings.HasSuffix(path, ".css"):
-		w.Header().Set("Content-Type", "text/css")
-		fmt.Fprintln(w, "body{margin:0}")
+		w.Header()["Content-Type"] = contentTypeCSS
+		writeShared(w, staticCSS)
 	case strings.HasSuffix(path, ".js"):
-		w.Header().Set("Content-Type", "application/javascript")
-		fmt.Fprintln(w, "// site script")
+		w.Header()["Content-Type"] = contentTypeJS
+		writeShared(w, staticJS)
 	default:
 		servePixel(w)
 	}
 }
 
+// servePixel serves a minimal 1x1 transparent GIF.
 func servePixel(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "image/gif")
-	// Minimal 1x1 transparent GIF.
-	w.Write([]byte("GIF89a\x01\x00\x01\x00\x80\x00\x00\x00\x00\x00\x00\x00\x00!\xf9\x04\x01\x00\x00\x00\x00,\x00\x00\x00\x00\x01\x00\x01\x00\x00\x02\x02D\x01\x00;"))
+	w.Header()["Content-Type"] = contentTypeGIF
+	writeShared(w, pixelGIF)
 }

@@ -1,9 +1,9 @@
 package webserver
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -102,29 +102,71 @@ func (w *responseWriter) WriteHeader(code int) {
 	}
 }
 
-func (w *responseWriter) Write(p []byte) (int, error) {
+// begin applies net/http's first-write defaults: the implicit 200 and a
+// sniffed Content-Type when the handler set none.
+func (w *responseWriter) begin(p []byte) {
 	if w.status == 0 {
 		if _, ok := w.header["Content-Type"]; !ok && w.header.Get("Transfer-Encoding") == "" {
 			w.header.Set("Content-Type", http.DetectContentType(p))
 		}
 		w.status = http.StatusOK
 	}
+}
+
+func (w *responseWriter) Write(p []byte) (int, error) {
+	w.begin(p)
 	// Copy: callers such as fmt.Fprint reuse p once Write returns.
 	w.body = append(w.body, p...)
 	return len(p), nil
 }
 
-// bodyReader is a response body over the writer's bytes: one
-// allocation where io.NopCloser(bytes.NewReader(b)) costs two.
-type bodyReader struct{ bytes.Reader }
+// writeShared keeps an immutable body without copying it when it is the
+// whole response so far. The slice is capped at its length, so a later
+// Write appends into a fresh array rather than into p's.
+func (w *responseWriter) writeShared(p []byte) {
+	w.begin(p)
+	if len(w.body) == 0 {
+		w.body = p[:len(p):len(p)]
+		return
+	}
+	w.body = append(w.body, p...)
+}
 
-func newBodyReader(b []byte) *bodyReader {
-	r := &bodyReader{}
-	r.Reset(b)
-	return r
+// bodyReader is a response body over the writer's bytes: one small
+// allocation where io.NopCloser(bytes.NewReader(b)) costs two.
+type bodyReader struct{ b []byte }
+
+func (r *bodyReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.b)
+	r.b = r.b[n:]
+	return n, nil
 }
 
 func (*bodyReader) Close() error { return nil }
+
+// Bytes returns the unread part of the body without copying it, as
+// bytes.Buffer.Bytes does. The bytes may be shared with other responses
+// (a cached page, a fixed asset) and must not be modified.
+func (r *bodyReader) Bytes() []byte { return r.b }
+
+// statusLine returns the Status text net/http gives a code, pre-built
+// for the codes the synthetic web answers with.
+func statusLine(code int) string {
+	switch code {
+	case http.StatusOK:
+		return "200 OK"
+	case http.StatusNoContent:
+		return "204 No Content"
+	case http.StatusMovedPermanently:
+		return "301 Moved Permanently"
+	case http.StatusNotFound:
+		return "404 Not Found"
+	}
+	return strconv.Itoa(code) + " " + http.StatusText(code)
+}
 
 func (w *responseWriter) response(req *http.Request) *http.Response {
 	status := w.status
@@ -132,13 +174,13 @@ func (w *responseWriter) response(req *http.Request) *http.Response {
 		status = http.StatusOK
 	}
 	return &http.Response{
-		Status:        strconv.Itoa(status) + " " + http.StatusText(status),
+		Status:        statusLine(status),
 		StatusCode:    status,
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
 		ProtoMinor:    1,
 		Header:        w.header,
-		Body:          newBodyReader(w.body),
+		Body:          &bodyReader{b: w.body},
 		ContentLength: -1,
 		Request:       req,
 	}

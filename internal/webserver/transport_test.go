@@ -160,3 +160,28 @@ func TestResponseWriterNetHTTPSemantics(t *testing.T) {
 		})
 	}
 }
+
+// TestWriteSharedKeepsBytes checks the writer's no-copy path: a shared
+// body reaches the response as the same bytes, and a Write after it
+// copies instead of appending into the shared slice's spare capacity.
+func TestWriteSharedKeepsBytes(t *testing.T) {
+	shared := make([]byte, 3, 16)
+	copy(shared, "abc")
+	w := &responseWriter{header: make(http.Header)}
+	writeShared(w, shared)
+	resp := w.response(httptest.NewRequest(http.MethodGet, "http://example.com/", nil))
+	if got := resp.Body.(*bodyReader).Bytes(); &got[0] != &shared[0] {
+		t.Error("a shared body was copied on its way to the response")
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; charset=utf-8" {
+		t.Errorf("sniffed Content-Type %q", ct)
+	}
+
+	fmt.Fprint(w, "def")
+	if got := string(w.body); got != "abcdef" {
+		t.Errorf("body %q, want %q", got, "abcdef")
+	}
+	if spare := shared[:6]; string(spare) != "abc\x00\x00\x00" {
+		t.Errorf("a later Write reached into the shared slice: %q", spare)
+	}
+}

@@ -37,7 +37,7 @@ race-core:
 storage-faults:
 	$(GO) test -count=1 ./internal/chaos/ ./internal/fsck/
 	$(GO) test -count=1 -run 'TestStorageFault|TestWriteFileAtomicAbortMatrix|TestSyncDir|TestRetryPolicy' ./internal/crawler/ ./internal/durable/
-	$(GO) test -count=1 -race -run 'TestRepairParityFaultMatrix|TestCampaignSurvivesTransientStorageFaults|TestCoordinatorFsckHealsCorruptShard' ./internal/fsck/ ./internal/orchestrator/
+	$(GO) test -count=1 -race -run 'TestRepairParityFaultMatrix|TestRepairParityWithoutRetries|TestVerifyCleanCampaignWritesNothing|TestRepairCleanCampaignIsNoop|TestCampaignSurvivesTransientStorageFaults|TestCoordinatorFsckHealsCorruptShard' ./internal/fsck/ ./internal/orchestrator/
 
 # Static analysis: go vet plus the repo's own invariant suite
 # (cmd/topicslint: determinism, vclock, etld, errwrap, atomicwrite,

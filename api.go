@@ -192,9 +192,6 @@ type (
 // NewCrawler builds a Crawler.
 func NewCrawler(cfg CrawlerConfig) *Crawler { return crawler.New(cfg) }
 
-// CallerDomains extracts the distinct calling parties of a dataset.
-func CallerDomains(d *Dataset) []string { return crawler.CallerDomains(d) }
-
 // ---- Dataset ----
 
 // Dataset records and codecs.

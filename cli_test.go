@@ -2,13 +2,19 @@ package topicscope_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/netmeasure/topicscope"
 	"github.com/netmeasure/topicscope/internal/durable"
+	"github.com/netmeasure/topicscope/internal/orchestrator"
 )
 
 // TestCLIPipeline builds the real binaries and drives the decomposed
@@ -61,11 +67,20 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("topics-crawl output: %s", out)
 	}
 
-	// Resume over the same output is a no-op crawl.
+	attestBytes, err := os.ReadFile(attest)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Resume over the same output is a no-op crawl, and rewrites the
+	// same attestation sweep: its callers come from the whole journal.
 	out = run("topics-crawl", "-seed", "9", "-sites", "300", "-quiet", "-resume",
 		"-out", crawl, "-attest", attest, "-allowlist", allow)
 	if !strings.Contains(out, "skipping 300") || !strings.Contains(out, "attempted=0") {
 		t.Errorf("resume output: %s", out)
+	}
+	if resumed, err := os.ReadFile(attest); err != nil || !bytes.Equal(resumed, attestBytes) {
+		t.Errorf("resume rewrote attest.jsonl differently (%d -> %d bytes): %v", len(attestBytes), len(resumed), err)
 	}
 
 	csv := filepath.Join(dir, "calls.csv")
@@ -107,7 +122,7 @@ func TestCLIShardedCampaign(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bin := func(name string) string { return filepath.Join(dir, name) }
-	for _, tool := range []string{"topics-crawl", "topics-orch", "topics-monitor"} {
+	for _, tool := range []string{"topics-crawl", "topics-orch", "topics-monitor", "topics-fsck"} {
 		cmd := exec.Command("go", "build", "-o", bin(tool), "./cmd/"+tool)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("building %s: %v\n%s", tool, err, out)
@@ -156,6 +171,9 @@ func TestCLIShardedCampaign(t *testing.T) {
 	if fi, err := os.Stat(report); err != nil || fi.Size() == 0 {
 		t.Fatalf("report artifact missing: %v", err)
 	}
+	// The orchestrator's report is the artifact fsck recomputes from the
+	// shard journals: the verify must read clean (run fails on exit 1).
+	run("topics-fsck", append(campaign, "-data", merged, "-shards", "4", "-report", report)...)
 
 	out = run("topics-monitor", "-shards", merged)
 	if !strings.Contains(out, "(4 shards)") || !strings.Contains(out, "done") {
@@ -212,4 +230,157 @@ func TestCLITLSPipeline(t *testing.T) {
 	if !strings.Contains(string(out), "attempted=120") {
 		t.Errorf("TLS crawl output: %s", out)
 	}
+}
+
+// buildTools compiles the named cmd/ binaries into dir and returns a
+// runner that fails the test on a non-zero exit.
+func buildTools(t *testing.T, dir string, tools ...string) func(name string, args ...string) string {
+	t.Helper()
+	for _, tool := range tools {
+		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "./cmd/"+tool)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("building %s: %v\n%s", tool, err, out)
+		}
+	}
+	return func(name string, args ...string) string {
+		t.Helper()
+		out, err := exec.Command(filepath.Join(dir, name), args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s %v: %v\n%s", name, args, err, out)
+		}
+		return string(out)
+	}
+}
+
+// TestCLIRetriesMeanTheSame pins the one -retries rule ("extra attempts
+// per navigation/fetch; 0 disables retries") across every CLI that
+// crawls: for -retries 0 and 2 under chaos, topics-crawl, a -shard
+// worker, topics-report, topics-orch (in-process and through the
+// ExecLauncher's argv) and a topics-fsck recrawl of a missing journal
+// must all write the same dataset.
+func TestCLIRetriesMeanTheSame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping CLI retries table")
+	}
+	dir := t.TempDir()
+	run := buildTools(t, dir, "topics-crawl", "topics-report", "topics-orch", "topics-fsck")
+	path := func(name string) string { return filepath.Join(dir, name) }
+
+	datasets := map[int][]byte{}
+	for _, retries := range []int{0, 2} {
+		campaign := []string{"-seed", "9", "-sites", "120", "-quiet", "-chaos", "-chaos-seed", "5", "-retries", strconv.Itoa(retries)}
+		name := func(cli string) string { return path(cli + "-" + strconv.Itoa(retries) + ".jsonl") }
+		side := func(cli string) []string {
+			return []string{"-attest", path(cli + ".att"), "-allowlist", path(cli + ".dat")}
+		}
+		rows := []struct {
+			cli, journal string
+			args         []string
+		}{
+			{"topics-crawl", name("crawl"), append([]string{"-out", name("crawl")}, side("crawl")...)},
+			{"topics-crawl", orchestrator.ShardPath(name("shard"), 0), []string{"-shard", "0/1", "-out", name("shard")}},
+			{"topics-report", name("report"), []string{"-data", name("report"), "-out", path("report.txt")}},
+			{"topics-orch", name("orch"), append([]string{"-shards", "2", "-out", name("orch")}, side("orch")...)},
+			{"topics-orch", name("exec"), append([]string{"-shards", "2", "-worker-bin", path("topics-crawl"), "-out", name("exec")}, side("exec")...)},
+			{"topics-fsck", name("fsck"), []string{"-repair", "-data", name("fsck")}},
+		}
+		for _, row := range rows {
+			run(row.cli, append(append([]string{}, campaign...), row.args...)...)
+			got, err := durable.CanonicalBytes(row.journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, ok := datasets[retries]
+			if !ok {
+				datasets[retries] = got
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("-retries %d: %s %v wrote a different dataset than topics-crawl", retries, row.cli, row.args)
+			}
+		}
+	}
+	if bytes.Equal(datasets[0], datasets[2]) {
+		t.Fatal("-retries 0 and 2 crawl the same dataset under chaos — the table is vacuous")
+	}
+}
+
+// traceCanceller cancels a campaign once its trace stream has taken a
+// fixed number of buffered writes — a deterministic stand-in for
+// SIGTERM arriving mid-crawl, like the crawler's drain tests.
+type traceCanceller struct {
+	cancel context.CancelFunc
+	after  int
+	n      int
+}
+
+func (c *traceCanceller) Write(p []byte) (int, error) {
+	if c.n++; c.n == c.after {
+		c.cancel()
+	}
+	return len(p), nil
+}
+
+// TestCLIResumeAfterDrain interrupts a journaled campaign mid-crawl,
+// finishes it with topics-crawl -resume, and demands a clean run's
+// artifacts: the dataset, attest.jsonl (whose callers include those
+// seen only before the interruption), and the closing record count and
+// success rate, which describe the whole journal.
+func TestCLIResumeAfterDrain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping CLI drain resume")
+	}
+	dir := t.TempDir()
+	run := buildTools(t, dir, "topics-crawl")
+	path := func(name string) string { return filepath.Join(dir, name) }
+	campaign := []string{"-seed", "9", "-sites", "300", "-quiet", "-chaos"}
+
+	clean := run("topics-crawl", append(campaign, "-out", path("clean.jsonl.gz"),
+		"-attest", path("clean.att"), "-allowlist", path("clean.dat"))...)
+
+	drained := path("drained.jsonl.gz")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := topicscope.Campaign{
+		Seed: 9, Sites: 300, Workers: 8, Chaos: true, ChaosSeed: 1,
+		OutputPath: drained, Trace: &traceCanceller{cancel: cancel, after: 40},
+	}.Run(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted campaign returned %v, want context.Canceled", err)
+	}
+	records := regexp.MustCompile(`\((\d+) visit records\)`)
+	cleanRecords, _ := strconv.ParseInt(records.FindStringSubmatch(clean)[1], 10, 64)
+	if m := topicscope.LoadManifest(drained); m == nil || m.Records == 0 || m.Records >= cleanRecords {
+		t.Fatalf("drain did not stop mid-campaign: manifest %+v of %d records", m, cleanRecords)
+	}
+
+	resumed := run("topics-crawl", append(campaign, "-resume", "-out", drained,
+		"-attest", path("resumed.att"), "-allowlist", path("resumed.dat"))...)
+	want, err := durable.CanonicalBytes(path("clean.jsonl.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := durable.CanonicalBytes(drained); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("resumed dataset differs from the clean run: %v", err)
+	}
+	for _, name := range []string{".att", ".dat"} {
+		if !bytes.Equal(readAll(t, path("clean"+name)), readAll(t, path("resumed"+name))) {
+			t.Errorf("resumed %s differs from the clean run's", name)
+		}
+	}
+	rate := regexp.MustCompile(`success rate: \S+`)
+	for _, re := range []*regexp.Regexp{records, rate} {
+		if c, r := re.FindString(clean), re.FindString(resumed); c != r {
+			t.Errorf("closing line %q after resume, %q on the clean run", r, c)
+		}
+	}
+}
+
+func readAll(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }

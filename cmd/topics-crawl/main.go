@@ -42,6 +42,8 @@ import (
 	"time"
 
 	"github.com/netmeasure/topicscope"
+	"github.com/netmeasure/topicscope/internal/analysis"
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/chaos"
 	"github.com/netmeasure/topicscope/internal/durable"
 	"github.com/netmeasure/topicscope/internal/orchestrator"
@@ -78,26 +80,31 @@ func main() {
 	)
 	flag.Parse()
 
+	spec := campaign.Spec{
+		World:   topicscope.WorldConfig{Seed: *seed, NumSites: *sites},
+		Enforce: *enforce, Chaos: *useChaos, ChaosSeed: *chaosSeed,
+		Attempts: campaign.Attempts(*retries),
+	}
+	visitBudget := time.Duration(*budgetMS) * time.Millisecond
 	if *shard != "" {
 		if *connect != "" || *connectTLS != "" || *tracePath != "" {
 			fatal(errors.New("-shard workers crawl their world window in-process: -connect, -connect-tls and -trace are unsupported"))
 		}
-		runShardWorker(shardWorkerFlags{
-			shard: *shard, seed: *seed, sites: *sites, workers: *workers,
-			out: *out, enforce: *enforce, quiet: *quiet, resume: *resume,
-			ckptEvery: *ckptEvery, budgetMS: *budgetMS,
-			chaos: *useChaos, chaosSeed: *chaosSeed, retries: *retries,
-			pprofAddr:    *pprofAddr,
+		runShardWorker(spec, shardWorkerFlags{
+			shard: *shard, workers: *workers, visitBudget: visitBudget,
+			out: *out, quiet: *quiet, resume: *resume,
+			ckptEvery: *ckptEvery, pprofAddr: *pprofAddr,
 			storageChaos: *storageChaos, storageSeed: *storageSeed,
 			storageRate: *storageRate, enospcAfter: *enospcAfter,
 		})
 		return
 	}
 
-	world := topicscope.GenerateWorld(topicscope.WorldConfig{Seed: *seed, NumSites: *sites})
-	allow := topicscope.NewAllowlist(world.Catalog.AllowedDomains()...)
-
-	var client *http.Client
+	// The in-process world serves the crawl unless -connect points it at
+	// a topics-serve instance; either way the spec's chaos weather rides
+	// the client.
+	env := spec.NewEnv(1, campaign.AllRanks)
+	world := env.World
 	scheme := "http"
 	switch {
 	case *connectTLS != "":
@@ -105,19 +112,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		client, err = topicscope.NewTLSClientFromPEM(world, *connectTLS, pem, time.Duration(*timeoutMS)*time.Millisecond)
+		client, err := topicscope.NewTLSClientFromPEM(world, *connectTLS, pem, time.Duration(*timeoutMS)*time.Millisecond)
 		if err != nil {
 			fatal(err)
 		}
+		env.UseClient(client)
 		scheme = "https"
 	case *connect != "":
-		client = topicscope.NewTCPClient(world, *connect, time.Duration(*timeoutMS)*time.Millisecond)
-	default:
-		client = topicscope.NewServer(world, nil).Client()
-	}
-	var injector *topicscope.ChaosInjector
-	if *useChaos {
-		injector = topicscope.EnableChaos(client, topicscope.DefaultChaos(*chaosSeed))
+		env.UseClient(topicscope.NewTCPClient(world, *connect, time.Duration(*timeoutMS)*time.Millisecond))
 	}
 
 	var logger *slog.Logger
@@ -142,7 +144,7 @@ func main() {
 	// topics-report -live.
 	skip := map[string]bool{}
 	storageFS, storageRetry := storagePolicy(*storageChaos, *storageSeed, *storageRate, *enospcAfter, reg)
-	liveIn := &topicscope.AnalysisInput{Allowlist: allow, Metrics: reg, FS: storageFS}
+	liveIn := &topicscope.AnalysisInput{Allowlist: env.Allow, Metrics: reg, FS: storageFS}
 	jopts := topicscope.JournalOptions{
 		CheckpointEvery: *ckptEvery,
 		Metrics:         reg,
@@ -150,8 +152,11 @@ func main() {
 		Durable:         durable.Options{FS: storageFS, Retry: storageRetry},
 	}
 	var journal *topicscope.DatasetJournal
+	var sink *topicscope.LiveAnalysisSink
 	if *resume {
-		sink, lst, err := topicscope.OpenLiveAnalysisSink(*out, liveIn)
+		var lst *topicscope.LiveAnalysisStats
+		var err error
+		sink, lst, err = topicscope.OpenLiveAnalysisSink(*out, liveIn)
 		if err != nil {
 			fatal(err)
 		}
@@ -178,7 +183,8 @@ func main() {
 			fmt.Printf("resume: dropped %d torn trailing records; their sites recrawl\n", st.RecordsDropped)
 		}
 	} else {
-		jopts.Observer = topicscope.NewLiveAnalysisSink(*out, liveIn)
+		sink = topicscope.NewLiveAnalysisSink(*out, liveIn)
+		jopts.Observer = sink
 		var err error
 		journal, err = topicscope.CreateJournal(*out, jopts)
 		if err != nil {
@@ -224,25 +230,16 @@ func main() {
 		}()
 	}
 
-	attempts := *retries + 1
-	if attempts < 1 {
-		attempts = 1
-	}
-	cr := topicscope.NewCrawler(topicscope.CrawlerConfig{
-		Client:             client,
-		ReferenceAllowlist: allow,
-		Enforce:            *enforce,
-		Workers:            *workers,
-		Writer:             journal,
-		Collect:            true,
-		SkipSites:          skip,
-		Scheme:             scheme,
-		Attempts:           attempts,
-		VisitBudget:        time.Duration(*budgetMS) * time.Millisecond,
-		Logger:             logger,
-		Metrics:            reg,
-		Traces:             traces,
-	})
+	ccfg := env.Config()
+	ccfg.Workers = *workers
+	ccfg.VisitBudget = visitBudget
+	ccfg.Writer = journal
+	ccfg.SkipSites = skip
+	ccfg.Scheme = scheme
+	ccfg.Logger = logger
+	ccfg.Metrics = reg
+	ccfg.Traces = traces
+	cr := topicscope.NewCrawler(ccfg)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -258,12 +255,21 @@ func main() {
 	if err := journal.Close(); err != nil {
 		failStorageAware(nil, err)
 	}
-	fmt.Printf("crawl: %s\n", res.Stats)
-	if injector != nil {
-		fmt.Printf("chaos: %s\n", injector.Stats().Snapshot())
+	// The closing lines and the attestation sweep describe the whole
+	// journal — a resumed run's earlier segments included — so they read
+	// the journal's fold, not this run's records.
+	live := sink.Live()
+	if live == nil {
+		fatal(fmt.Errorf("reading back the analysis index of %s", *out))
 	}
-	fmt.Printf("dataset: %s (%d visit records)\n", *out, res.Data.Len())
-	fmt.Printf("success rate: %.1f%% (paper: 86.8%%)\n", summary.SuccessRate()*100)
+	whole := &topicscope.AnalysisInput{Allowlist: env.Allow}
+	topicscope.AdoptAnalysisIndex(whole, live.Snapshot(whole))
+	fmt.Printf("crawl: %s\n", res.Stats)
+	if env.Injector != nil {
+		fmt.Printf("chaos: %s\n", env.Injector.Stats().Snapshot())
+	}
+	fmt.Printf("dataset: %s (%d visit records)\n", *out, live.Visits())
+	fmt.Printf("success rate: %.1f%% (paper: 86.8%%)\n", analysis.ComputeReliability(whole).SuccessRate*100)
 	if traceWriter != nil {
 		if err := traceWriter.Flush(); err != nil {
 			fatal(err)
@@ -280,36 +286,33 @@ func main() {
 	}
 
 	// Attestation checks for every allow-listed domain plus every
-	// calling party the crawl observed.
-	domains := allow.Domains()
-	domains = append(domains, topicscope.CallerDomains(res.Data)...)
-	recs := cr.CheckAttestations(ctx, domains)
+	// calling party the journal holds.
+	recs := env.Sweep(ctx, cr, live.Callers())
 	if err := topicscope.SaveAttestations(*attest, recs); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("attestations: %s (%d domains)\n", *attest, len(recs))
 
-	if err := topicscope.SaveAllowlist(*allowOut, allow); err != nil {
+	if err := topicscope.SaveAllowlist(*allowOut, env.Allow); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("allow-list: %s (%d domains)\n", *allowOut, allow.Len())
+	fmt.Printf("allow-list: %s (%d domains)\n", *allowOut, env.Allow.Len())
 }
 
-// shardWorkerFlags carries the flag subset a -shard worker honours.
+// shardWorkerFlags carries the run flags a -shard worker honours
+// beside the campaign spec.
 type shardWorkerFlags struct {
-	shard             string
-	seed, chaosSeed   uint64
-	sites, workers    int
-	out               string
-	enforce, quiet    bool
-	resume, chaos     bool
-	ckptEvery         int
-	budgetMS, retries int
-	pprofAddr         string
-	storageChaos      bool
-	storageSeed       uint64
-	storageRate       float64
-	enospcAfter       int64
+	shard         string
+	workers       int
+	visitBudget   time.Duration
+	out           string
+	quiet, resume bool
+	ckptEvery     int
+	pprofAddr     string
+	storageChaos  bool
+	storageSeed   uint64
+	storageRate   float64
+	enospcAfter   int64
 }
 
 // runShardWorker is the -shard i/N mode: one worker of a distributed
@@ -317,17 +320,17 @@ type shardWorkerFlags struct {
 // journal shard. The coordinator owns everything downstream (merge,
 // attestations, analysis), so this path writes no -attest/-allowlist
 // artifacts.
-func runShardWorker(f shardWorkerFlags) {
+func runShardWorker(camp campaign.Spec, f shardWorkerFlags) {
 	index, count, err := orchestrator.ParseShard(f.shard)
 	if err != nil {
 		fatal(err)
 	}
-	specs, err := orchestrator.Partition(f.sites, count)
+	specs, err := orchestrator.Partition(camp.World.NumSites, count)
 	if err != nil {
 		fatal(err)
 	}
 	if count != len(specs) {
-		fatal(fmt.Errorf("%d shards over %d sites: at most one shard per site", count, f.sites))
+		fatal(fmt.Errorf("%d shards over %d sites: at most one shard per site", count, camp.World.NumSites))
 	}
 	spec := specs[index]
 
@@ -349,18 +352,10 @@ func runShardWorker(f shardWorkerFlags) {
 	if !f.quiet {
 		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
-	retries := f.retries
-	if retries <= 0 {
-		retries = -1 // ShardCampaign uses the Campaign convention: negative disables
-	}
-
 	storageFS, storageRetry := storagePolicy(f.storageChaos, f.storageSeed, f.storageRate, f.enospcAfter, reg)
 	sc := orchestrator.ShardCampaign{
-		Seed: f.seed, Sites: f.sites, Workers: f.workers,
-		Enforce: f.enforce, Chaos: f.chaos, ChaosSeed: f.chaosSeed,
-		Retries:     retries,
-		VisitBudget: time.Duration(f.budgetMS) * time.Millisecond,
-		OutputPath:  f.out, CheckpointEvery: f.ckptEvery,
+		Spec: camp, Workers: f.workers, VisitBudget: f.visitBudget,
+		OutputPath: f.out, CheckpointEvery: f.ckptEvery,
 		Shard: spec, Resume: f.resume,
 		Logger: logger, Metrics: reg, MetricsURL: metricsURL,
 		FS: storageFS, Retry: storageRetry,

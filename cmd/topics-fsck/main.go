@@ -25,10 +25,12 @@ import (
 	"os"
 	"time"
 
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/durable"
 	"github.com/netmeasure/topicscope/internal/fsck"
 	"github.com/netmeasure/topicscope/internal/obs"
 	"github.com/netmeasure/topicscope/internal/orchestrator"
+	"github.com/netmeasure/topicscope/internal/webworld"
 )
 
 func main() {
@@ -41,7 +43,7 @@ func main() {
 		enforce   = flag.Bool("enforce", false, "campaign ran the healthy-gate ablation")
 		useChaos  = flag.Bool("chaos", false, "campaign ran with the client-side fault profile")
 		chaosSeed = flag.Uint64("chaos-seed", 1, "campaign's fault-injection seed")
-		retries   = flag.Int("retries", 2, "campaign's extra attempts per navigation/fetch")
+		retries   = flag.Int("retries", 2, "campaign's extra attempts per navigation/fetch; 0 disables retries")
 		budgetMS  = flag.Int("visit-budget-ms", 0, "campaign's per-visit virtual-clock budget")
 		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint cadence for repaired journals (0 = durable default)")
 		reportIn  = flag.String("report", "", "campaign report JSON artifact to verify (and regenerate under -repair)")
@@ -52,14 +54,13 @@ func main() {
 	flag.Parse()
 
 	camp := &fsck.Campaign{
-		Seed:            *seed,
-		Sites:           *sites,
-		Workers:         *workers,
-		Enforce:         *enforce,
-		Chaos:           *useChaos,
-		ChaosSeed:       *chaosSeed,
-		Retries:         *retries,
+		Spec: campaign.Spec{
+			World:   webworld.Config{Seed: *seed, NumSites: *sites},
+			Enforce: *enforce, Chaos: *useChaos, ChaosSeed: *chaosSeed,
+			Attempts: campaign.Attempts(*retries),
+		},
 		VisitBudget:     time.Duration(*budgetMS) * time.Millisecond,
+		Workers:         *workers,
 		CheckpointEvery: *ckptEvery,
 		Metrics:         obs.NewRegistry(),
 	}
@@ -98,7 +99,7 @@ func main() {
 			}
 		}
 	} else {
-		rep, _, err = camp.Verify(paths)
+		rep, _, err = camp.Verify(context.Background(), paths)
 		if err != nil {
 			fatal(err)
 		}
@@ -119,7 +120,7 @@ func main() {
 	if *repair {
 		// The exit code reports the post-repair state, not the damage the
 		// verify found: re-verify read-only.
-		clean, _, err := camp.Verify(paths)
+		clean, _, err := camp.Verify(context.Background(), paths)
 		if err != nil {
 			fatal(err)
 		}

@@ -55,6 +55,7 @@ import (
 
 	"github.com/netmeasure/topicscope"
 	"github.com/netmeasure/topicscope/internal/analysis"
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/obs"
 	"github.com/netmeasure/topicscope/internal/orchestrator"
 	"github.com/netmeasure/topicscope/internal/vclock"
@@ -137,12 +138,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		in := &topicscope.AnalysisInput{
-			Data:         results.Data,
-			Allowlist:    topicscope.NewAllowlist(results.World.Catalog.AllowedDomains()...),
-			Attestations: topicscope.AttestationIndex(results.Attestations),
-		}
-		point := analysis.SnapshotAdoption(in, date)
+		point := analysis.SnapshotAdoption(results.Analysis, date)
 		adoption.Points = append(adoption.Points, point)
 		fmt.Fprintf(os.Stderr, "snapshot %s: %d active callers\n",
 			date.Format("2006-01-02"), point.ActiveCallers)
@@ -160,15 +156,9 @@ func main() {
 // only domains the fold has already seen, exactly like the post-hoc
 // sweep over the finished dataset.
 func liveDashboard(ctx context.Context, path string, seed uint64, sites int, follow bool, every time.Duration) error {
-	world := topicscope.GenerateWorld(topicscope.WorldConfig{Seed: seed, NumSites: sites})
-	server := topicscope.NewServer(world, nil)
-	allow := topicscope.NewAllowlist(world.Catalog.AllowedDomains()...)
+	env := campaign.Spec{World: topicscope.WorldConfig{Seed: seed, NumSites: sites}}.NewEnv(1, campaign.AllRanks)
+	allow := env.Allow
 	reg := topicscope.NewMetricsRegistry()
-	cr := topicscope.NewCrawler(topicscope.CrawlerConfig{
-		Client:             server.Client(),
-		ReferenceAllowlist: allow,
-		Metrics:            reg,
-	})
 
 	var idx *topicscope.LiveAnalysisIndex
 	var folded int64
@@ -203,12 +193,9 @@ func liveDashboard(ctx context.Context, path string, seed uint64, sites int, fol
 				st.Records, st.BytesRead, st.Indexed)
 		}
 
-		domains := allow.Domains()
-		domains = append(domains, idx.Callers()...)
-		recs := cr.CheckAttestations(ctx, domains)
 		in := &topicscope.AnalysisInput{
 			Allowlist:    allow,
-			Attestations: topicscope.AttestationIndex(recs),
+			Attestations: topicscope.AttestationIndex(env.Sweep(ctx, nil, idx.Callers())),
 			Metrics:      reg,
 		}
 		topicscope.AdoptAnalysisIndex(in, idx.Snapshot(in))

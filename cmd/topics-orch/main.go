@@ -23,7 +23,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -33,6 +32,7 @@ import (
 	"syscall"
 
 	"github.com/netmeasure/topicscope"
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/obs"
 	"github.com/netmeasure/topicscope/internal/orchestrator"
 )
@@ -65,10 +65,6 @@ func main() {
 	if !*quiet {
 		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
-	campRetries := *retries
-	if campRetries <= 0 {
-		campRetries = -1 // Campaign convention: negative disables retries
-	}
 	campRestarts := *maxRestarts
 	if campRestarts <= 0 {
 		campRestarts = -1 // Campaign convention: negative disables restarts
@@ -83,9 +79,12 @@ func main() {
 	}
 
 	c := orchestrator.Campaign{
-		Seed: *seed, Sites: *sites, Workers: *workers,
-		Enforce: *enforce, Chaos: *useChaos, ChaosSeed: *chaosSeed,
-		Retries:    campRetries,
+		Spec: campaign.Spec{
+			World:   topicscope.WorldConfig{Seed: *seed, NumSites: *sites},
+			Enforce: *enforce, Chaos: *useChaos, ChaosSeed: *chaosSeed,
+			Attempts: campaign.Attempts(*retries),
+		},
+		Workers:    *workers,
 		OutputPath: *out, CheckpointEvery: *ckptEvery,
 		Shards: *shards, Resume: *resume, MaxRestarts: campRestarts,
 		Launcher: launcher, Logger: logger, Metrics: obs.NewRegistry(),
@@ -117,11 +116,7 @@ func main() {
 	fmt.Printf("allow-list: %s (%d domains)\n", *allowOut, res.Analysis.Allowlist.Len())
 
 	if *reportOut != "" {
-		data, err := json.MarshalIndent(res.Report, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*reportOut, append(data, '\n'), 0o644); err != nil { //topicslint:ignore atomicwrite report artifact, regenerated wholesale from the journal on every run
+		if err := topicscope.WriteFileAtomic(*reportOut, res.Report.WriteJSON); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("report: %s\n", *reportOut)

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"github.com/netmeasure/topicscope"
+	"github.com/netmeasure/topicscope/internal/campaign"
 )
 
 func main() {
@@ -103,16 +104,16 @@ func main() {
 	}
 
 	if *livePath != "" {
-		if err := liveReport(ctx, *livePath, *seed, *sites, *enforce, *useChaos, *chaosSeed, *out, *jsonOut, reg); err != nil {
+		spec := campaign.Spec{
+			World:   topicscope.WorldConfig{Seed: *seed, NumSites: *sites},
+			Enforce: *enforce, Chaos: *useChaos, ChaosSeed: *chaosSeed,
+		}
+		if err := liveReport(ctx, *livePath, spec, *out, *jsonOut, reg); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	campaignRetries := *retries
-	if campaignRetries <= 0 {
-		campaignRetries = -1 // Campaign: negative disables, 0 = default
-	}
 	results, err := topicscope.Campaign{
 		Seed:       *seed,
 		Sites:      *sites,
@@ -123,7 +124,7 @@ func main() {
 		Vantage:    *vantage,
 		Chaos:      *useChaos,
 		ChaosSeed:  *chaosSeed,
-		Retries:    campaignRetries,
+		Retries:    campaign.CampaignRetries(*retries),
 		Logger:     logger,
 		Trace:      traceOut,
 		Metrics:    reg,
@@ -172,12 +173,9 @@ func main() {
 // collected dataset), and compute every section from the assembled
 // index. At the final checkpoint the output is byte-identical to the
 // post-hoc report over the finished dataset.
-func liveReport(ctx context.Context, path string, seed uint64, sites int, enforce, useChaos bool, chaosSeed uint64, out, jsonOut string, reg *topicscope.MetricsRegistry) error {
-	world := topicscope.GenerateWorld(topicscope.WorldConfig{Seed: seed, NumSites: sites})
-	server := topicscope.NewServer(world, nil)
-	allow := topicscope.NewAllowlist(world.Catalog.AllowedDomains()...)
-
-	in := &topicscope.AnalysisInput{Allowlist: allow, Metrics: reg}
+func liveReport(ctx context.Context, path string, spec campaign.Spec, out, jsonOut string, reg *topicscope.MetricsRegistry) error {
+	env := spec.NewEnv(1, campaign.AllRanks)
+	in := &topicscope.AnalysisInput{Allowlist: env.Allow, Metrics: reg}
 	live, st, err := topicscope.LoadLiveAnalysisIndex(path, in)
 	if err != nil {
 		return err
@@ -188,20 +186,7 @@ func liveReport(ctx context.Context, path string, seed uint64, sites int, enforc
 	// The attestation sweep the campaign would run after the crawl,
 	// against the same served world (and the same chaos weather — its
 	// decisions are pure per-request functions, so the outcomes match).
-	client := server.Client()
-	if useChaos {
-		topicscope.EnableChaos(client, topicscope.DefaultChaos(chaosSeed))
-	}
-	cr := topicscope.NewCrawler(topicscope.CrawlerConfig{
-		Client:             client,
-		ReferenceAllowlist: allow,
-		Enforce:            enforce,
-		Metrics:            reg,
-	})
-	domains := allow.Domains()
-	domains = append(domains, live.Callers()...)
-	recs := cr.CheckAttestations(ctx, domains)
-	in.Attestations = topicscope.AttestationIndex(recs)
+	in.Attestations = topicscope.AttestationIndex(env.Sweep(ctx, nil, live.Callers()))
 
 	topicscope.AdoptAnalysisIndex(in, live.Snapshot(in))
 	report := topicscope.Analyze(in)

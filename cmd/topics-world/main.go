@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"github.com/netmeasure/topicscope"
+	"github.com/netmeasure/topicscope/internal/campaign"
 )
 
 func main() {
@@ -59,7 +60,7 @@ func main() {
 }
 
 func writeAllowlist(world *topicscope.World, path string, corrupt bool) error {
-	list := topicscope.NewAllowlist(world.Catalog.AllowedDomains()...)
+	list := campaign.Allowlist(world)
 	var buf bytes.Buffer
 	if _, err := list.WriteTo(&buf); err != nil {
 		return err

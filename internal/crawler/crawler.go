@@ -148,7 +148,7 @@ func (c Config) withDefaults() Config {
 		c.ReferenceAllowlist = attestation.NewAllowlist()
 	}
 	if c.Attempts <= 0 {
-		c.Attempts = 3
+		c.Attempts = DefaultAttempts
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 5 * time.Second
@@ -163,6 +163,9 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// DefaultAttempts is Config.Attempts' default: two retries.
+const DefaultAttempts = 3
 
 // Stats aggregates a finished crawl.
 type Stats struct {

@@ -3,6 +3,7 @@ package fsck_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,15 +11,15 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/netmeasure/topicscope"
 	"github.com/netmeasure/topicscope/internal/analysis"
-	"github.com/netmeasure/topicscope/internal/attestation"
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/chaos"
 	"github.com/netmeasure/topicscope/internal/crawler"
 	"github.com/netmeasure/topicscope/internal/dataset"
 	"github.com/netmeasure/topicscope/internal/durable"
 	"github.com/netmeasure/topicscope/internal/fsck"
 	"github.com/netmeasure/topicscope/internal/obs"
-	"github.com/netmeasure/topicscope/internal/webserver"
 	"github.com/netmeasure/topicscope/internal/webworld"
 )
 
@@ -33,30 +34,39 @@ const (
 
 func testCampaign() *fsck.Campaign {
 	return &fsck.Campaign{
-		Seed:            fkSeed,
-		Sites:           fkSites,
+		Spec:            campaign.Spec{World: webworld.Config{Seed: fkSeed, NumSites: fkSites}, Chaos: true, ChaosSeed: fkSeed},
 		Workers:         8,
-		Chaos:           true,
-		ChaosSeed:       fkSeed,
 		CheckpointEvery: fkEvery,
 		Metrics:         obs.NewRegistry(),
 	}
 }
 
-// buildCampaign runs the production write path end to end into dir:
-// journal + manifest + frame index + live snapshot + report JSON.
-// An optional fault FS (and retry policy) ride the artifact writes.
+// runProduction builds the campaign into dir the way topics-report
+// -data -json does: topicscope.Campaign journals the crawl (journal,
+// manifest, frame index, live snapshot) and its report is written with
+// Report.WriteJSON. retries is topicscope.Campaign.Retries.
+func runProduction(dir string, retries int) error {
+	res, err := topicscope.Campaign{
+		Seed: fkSeed, Sites: fkSites, Workers: 8,
+		Chaos: true, ChaosSeed: fkSeed, Retries: retries,
+		OutputPath: filepath.Join(dir, "crawl.jsonl.gz"), CheckpointEvery: fkEvery,
+	}.Run(context.Background())
+	if err != nil {
+		return err
+	}
+	return topicscope.WriteFileAtomic(reportPath(dir), res.Report.WriteJSON)
+}
+
+// buildCampaign runs the campaign's crawl into dir with an optional
+// fault FS (and retry policy) on every artifact write — journal,
+// manifest, frame index, live snapshot — and writes the report JSON
+// fsck recomputes from the journal.
 func buildCampaign(t *testing.T, dir string, fsys durable.FS, retry durable.RetryPolicy) (string, error) {
 	t.Helper()
 	camp := testCampaign()
 	path := filepath.Join(dir, "crawl.jsonl.gz")
-	world := webworld.Generate(webworld.Config{Seed: camp.Seed, NumSites: camp.Sites})
-	server := webserver.New(world, nil)
-	allow := attestation.NewAllowlist(world.Catalog.AllowedDomains()...)
-	client := server.Client()
-	client.Transport = chaos.NewInjector(webworld.DefaultChaos(camp.ChaosSeed), client.Transport)
-
-	liveIn := &analysis.Input{Allowlist: allow, FS: fsys}
+	env := camp.NewEnv(1, campaign.AllRanks)
+	liveIn := &analysis.Input{Allowlist: env.Allow, FS: fsys}
 	jw, err := dataset.CreateJournal(path, dataset.JournalOptions{
 		CheckpointEvery: fkEvery,
 		Observer:        analysis.NewLiveSink(path, liveIn),
@@ -65,20 +75,17 @@ func buildCampaign(t *testing.T, dir string, fsys durable.FS, retry durable.Retr
 	if err != nil {
 		return path, err
 	}
-	cr := crawler.New(crawler.Config{
-		Client:             client,
-		ReferenceAllowlist: allow,
-		Workers:            camp.Workers,
-		Writer:             jw,
-	})
-	if _, err := cr.Run(context.Background(), world.List()); err != nil {
+	cfg := env.Config()
+	cfg.Workers = camp.Workers
+	cfg.Writer = jw
+	if _, err := crawler.New(cfg).Run(context.Background(), env.World.List()); err != nil {
 		jw.Abort()
 		return path, err
 	}
 	if err := jw.Close(); err != nil {
 		return path, err
 	}
-	want, err := camp.ReportJSON([]string{path})
+	want, err := camp.ReportJSON(context.Background(), []string{path})
 	if err != nil {
 		return path, err
 	}
@@ -99,7 +106,8 @@ func campaignPaths(dir string) fsck.CampaignPaths {
 	}
 }
 
-// The golden (undamaged) campaign, built once and copied per test.
+// The golden (undamaged) campaign, built once through the production
+// path and copied per test.
 var (
 	goldenOnce sync.Once
 	goldenDir  string
@@ -113,7 +121,7 @@ func golden(t *testing.T) string {
 		if goldenErr != nil {
 			return
 		}
-		_, goldenErr = buildCampaign(t, goldenDir, nil, durable.RetryPolicy{})
+		goldenErr = runProduction(goldenDir, 0)
 	})
 	if goldenErr != nil {
 		t.Fatalf("golden campaign: %v", goldenErr)
@@ -173,7 +181,7 @@ func assertParity(t *testing.T, dir string) {
 	if !bytes.Equal(readFile(t, reportPath(dir)), readFile(t, reportPath(golden(t)))) {
 		t.Fatal("repaired report differs from the undamaged campaign")
 	}
-	rep, _, err := testCampaign().Verify(campaignPaths(dir))
+	rep, _, err := testCampaign().Verify(context.Background(), campaignPaths(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +209,7 @@ func TestVerifyCleanCampaignWritesNothing(t *testing.T) {
 	for _, e := range entries {
 		before[e.Name()] = readFile(t, filepath.Join(dir, e.Name()))
 	}
-	rep, _, err := testCampaign().Verify(campaignPaths(dir))
+	rep, _, err := testCampaign().Verify(context.Background(), campaignPaths(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +236,7 @@ func TestVerifyCleanCampaignWritesNothing(t *testing.T) {
 func TestRepairCleanCampaignIsNoop(t *testing.T) {
 	dir := cloneCampaign(t)
 	journalBefore := readFile(t, filepath.Join(dir, "crawl.jsonl.gz"))
+	reportBefore := readFile(t, reportPath(dir))
 	rep, results, err := testCampaign().RepairCampaign(context.Background(), campaignPaths(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -241,6 +250,60 @@ func TestRepairCleanCampaignIsNoop(t *testing.T) {
 	}
 	if !bytes.Equal(journalBefore, readFile(t, filepath.Join(dir, "crawl.jsonl.gz"))) {
 		t.Fatal("repair rewrote a clean journal")
+	}
+	if !bytes.Equal(reportBefore, readFile(t, reportPath(dir))) {
+		t.Fatal("repair rewrote the report of a clean campaign")
+	}
+}
+
+// TestRepairCancelledLeavesReport cancels a repair before the report
+// check's attestation sweep: the sweep's fetch errors must surface as
+// the context's error, never as a report that replaces the campaign's.
+func TestRepairCancelledLeavesReport(t *testing.T) {
+	dir := cloneCampaign(t)
+	reportBefore := readFile(t, reportPath(dir))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := testCampaign().RepairCampaign(ctx, campaignPaths(dir)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled repair = %v, want context.Canceled", err)
+	}
+	if !bytes.Equal(reportBefore, readFile(t, reportPath(dir))) {
+		t.Fatal("a cancelled repair rewrote the report")
+	}
+}
+
+// TestRepairParityWithoutRetries repairs a campaign crawled with one
+// attempt per navigation and fetch (-retries 0) under chaos. The
+// recrawl must use the campaign's attempt budget: with the default
+// budget the regenerated records differ.
+func TestRepairParityWithoutRetries(t *testing.T) {
+	ref := t.TempDir()
+	if err := runProduction(ref, -1); err != nil {
+		t.Fatal(err)
+	}
+	refJournal := filepath.Join(ref, "crawl.jsonl.gz")
+	if bytes.Equal(canonical(t, refJournal), canonical(t, filepath.Join(golden(t), "crawl.jsonl.gz"))) {
+		t.Fatal("retries change nothing under this chaos profile — the test is vacuous")
+	}
+	camp := testCampaign()
+	camp.Attempts = campaign.Attempts(0)
+	for _, damage := range []string{"crawl.jsonl.gz", "report.json"} {
+		dir := t.TempDir()
+		if err := runProduction(dir, -1); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(dir, damage)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := camp.RepairCampaign(context.Background(), campaignPaths(dir)); err != nil {
+			t.Fatalf("repairing missing %s: %v", damage, err)
+		}
+		if !bytes.Equal(canonical(t, filepath.Join(dir, "crawl.jsonl.gz")), canonical(t, refJournal)) {
+			t.Errorf("missing %s: repaired dataset differs from the campaign's", damage)
+		}
+		if !bytes.Equal(readFile(t, reportPath(dir)), readFile(t, reportPath(ref))) {
+			t.Errorf("missing %s: repaired report differs from the campaign's", damage)
+		}
 	}
 }
 
@@ -380,7 +443,7 @@ func TestSnapshotBodyBitFlipIsCorrupt(t *testing.T) {
 	if err := os.WriteFile(idx, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, _, err := testCampaign().Verify(campaignPaths(dir))
+	rep, _, err := testCampaign().Verify(context.Background(), campaignPaths(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +575,7 @@ func TestVerifyReportRoundTrip(t *testing.T) {
 	if err := chaos.FlipBit(filepath.Join(dir, "crawl.jsonl.gz"), 13); err != nil {
 		t.Fatal(err)
 	}
-	rep, _, err := testCampaign().Verify(campaignPaths(dir))
+	rep, _, err := testCampaign().Verify(context.Background(), campaignPaths(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,35 +13,6 @@ func (n *Node) Walk(fn func(*Node) bool) {
 	}
 }
 
-// FindAll returns every element with the given tag, in document order.
-func (n *Node) FindAll(tag string) []*Node {
-	tag = strings.ToLower(tag)
-	var out []*Node
-	n.Walk(func(node *Node) bool {
-		if node.Tag == tag {
-			out = append(out, node)
-		}
-		return true
-	})
-	return out
-}
-
-// FindByID returns the first element with the given id attribute.
-func (n *Node) FindByID(id string) *Node {
-	var found *Node
-	n.Walk(func(node *Node) bool {
-		if found != nil {
-			return false
-		}
-		if v, ok := node.Attr("id"); ok && v == id {
-			found = node
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // InnerText concatenates all descendant text, normalising whitespace
 // runs to single spaces.
 func (n *Node) InnerText() string {

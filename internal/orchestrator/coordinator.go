@@ -6,18 +6,14 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
-	"time"
 
 	"github.com/netmeasure/topicscope/internal/analysis"
-	"github.com/netmeasure/topicscope/internal/attestation"
-	"github.com/netmeasure/topicscope/internal/chaos"
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/crawler"
 	"github.com/netmeasure/topicscope/internal/dataset"
 	"github.com/netmeasure/topicscope/internal/durable"
 	"github.com/netmeasure/topicscope/internal/fsck"
 	"github.com/netmeasure/topicscope/internal/obs"
-	"github.com/netmeasure/topicscope/internal/webserver"
-	"github.com/netmeasure/topicscope/internal/webworld"
 )
 
 // DefaultMaxRestarts is the per-shard restart budget when
@@ -32,19 +28,10 @@ const DefaultMaxRestarts = 2
 // single-process campaign would — which the merge-parity golden test
 // pins down to the byte.
 type Campaign struct {
-	// Seed, Sites, Workers, Enforce, Start, Vantage, Chaos, ChaosSeed,
-	// Retries and WorldConfig mirror topicscope.Campaign; Workers is the
-	// per-worker crawl parallelism.
-	Seed        uint64
-	Sites       int
-	Workers     int
-	Enforce     bool
-	Start       time.Time
-	Vantage     string
-	Chaos       bool
-	ChaosSeed   uint64
-	Retries     int
-	WorldConfig *webworld.Config
+	// Spec is the campaign's identity, shared by every shard; Workers
+	// is the per-worker crawl parallelism.
+	campaign.Spec
+	Workers int
 
 	// OutputPath is the merged dataset path; shard i journals to
 	// ShardPath(OutputPath, i). Required.
@@ -113,16 +100,8 @@ func (c *Campaign) shardCampaign(spec ShardSpec, resume bool) ShardCampaign {
 		logger = logger.With("shard", spec.Index)
 	}
 	return ShardCampaign{
-		Seed:            c.Seed,
-		Sites:           c.Sites,
+		Spec:            c.Spec,
 		Workers:         c.Workers,
-		Enforce:         c.Enforce,
-		Start:           c.Start,
-		Vantage:         c.Vantage,
-		Chaos:           c.Chaos,
-		ChaosSeed:       c.ChaosSeed,
-		Retries:         c.Retries,
-		WorldConfig:     c.WorldConfig,
 		OutputPath:      c.OutputPath,
 		CheckpointEvery: c.CheckpointEvery,
 		Shard:           spec,
@@ -224,10 +203,7 @@ func (c Campaign) Run(ctx context.Context) (*Result, error) {
 	if c.Shards < 1 {
 		return nil, fmt.Errorf("orchestrator: campaign needs Shards >= 1, got %d", c.Shards)
 	}
-	cfg := webworld.Config{Seed: c.Seed, NumSites: c.Sites}
-	if c.WorldConfig != nil {
-		cfg = *c.WorldConfig
-	}
+	sites := c.World.NumSites
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
 	}
@@ -243,12 +219,12 @@ func (c Campaign) Run(ctx context.Context) (*Result, error) {
 		budget = 0
 	}
 
-	specs, err := Partition(cfg.NumSites, c.Shards)
+	specs, err := Partition(sites, c.Shards)
 	if err != nil {
 		return nil, err
 	}
 	if c.Logger != nil {
-		c.Logger.Info("campaign partitioned", "sites", cfg.NumSites, "shards", len(specs))
+		c.Logger.Info("campaign partitioned", "sites", sites, "shards", len(specs))
 	}
 
 	// Crawl phase: every shard supervised concurrently. A shard that
@@ -329,29 +305,12 @@ func (c Campaign) Run(ctx context.Context) (*Result, error) {
 	// single shard generates), the same chaos weather on its client, the
 	// campaign-wide attestation checks, and a report computed from the
 	// commutative merge of per-shard index partials.
-	world := webworld.Generate(cfg)
-	server := webserver.New(world, nil)
-	allow := attestation.NewAllowlist(world.Catalog.AllowedDomains()...)
-	client := server.Client()
-	if c.Chaos {
-		client.Transport = chaos.NewInjector(webworld.DefaultChaos(c.ChaosSeed), client.Transport)
-	}
-	cr := crawler.New(crawler.Config{
-		Client:             client,
-		ReferenceAllowlist: allow,
-		Enforce:            c.Enforce,
-		Start:              c.Start,
-		Vantage:            c.Vantage,
-		Logger:             c.Logger,
-		Metrics:            c.Metrics,
-	})
-	domains := allow.Domains()
-	domains = append(domains, crawler.CallerDomains(data)...)
-	recs := cr.CheckAttestations(ctx, domains)
+	env := c.NewEnv(1, campaign.AllRanks)
+	recs := env.Sweep(ctx, nil, crawler.CallerDomains(data))
 
 	in := &analysis.Input{
 		Data:         data,
-		Allowlist:    allow,
+		Allowlist:    env.Allow,
 		Attestations: dataset.AttestationIndex(recs),
 		Metrics:      c.Metrics,
 	}
@@ -366,7 +325,7 @@ func (c Campaign) Run(ctx context.Context) (*Result, error) {
 			// manifest, our allow-list, and the merged record count is
 			// adopted as the merge partial without re-folding the shard.
 			// Anything less degrades to the from-scratch build.
-			shardIn := &analysis.Input{Allowlist: allow, Metrics: c.Metrics}
+			shardIn := &analysis.Input{Allowlist: env.Allow, Metrics: c.Metrics}
 			if live, _ := analysis.LoadIndexSnapshot(shardPaths[i], shardIn); live != nil && live.Visits() == len(parts[i]) {
 				partials[i] = live
 				c.Metrics.Add("orchestrator_shard_index_restored_total", 1)
@@ -375,7 +334,7 @@ func (c Campaign) Run(ctx context.Context) (*Result, error) {
 			c.Metrics.Add("orchestrator_shard_index_rebuilt_total", 1)
 			partials[i] = analysis.BuildShardIndex(&analysis.Input{
 				Data:         &dataset.Dataset{Visits: parts[i]},
-				Allowlist:    allow,
+				Allowlist:    env.Allow,
 				Attestations: in.Attestations,
 				Metrics:      c.Metrics,
 			})

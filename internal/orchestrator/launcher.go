@@ -7,9 +7,11 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"reflect"
 	"strconv"
 
 	"github.com/netmeasure/topicscope/internal/chaos"
+	"github.com/netmeasure/topicscope/internal/webworld"
 )
 
 // Launcher starts one worker for a shard attempt. attempt is 0 for the
@@ -72,7 +74,7 @@ func (l *InProcLauncher) Start(ctx context.Context, c *Campaign, spec ShardSpec,
 // crash eligible for restart.
 //
 // The exec boundary carries only what topics-crawl flags can express:
-// campaigns with a WorldConfig override, a custom Start or a Vantage
+// campaigns with world calibration overrides, a custom Start or a Vantage
 // are rejected (run those with the InProcLauncher).
 type ExecLauncher struct {
 	// Bin is the topics-crawl binary.
@@ -105,26 +107,18 @@ func (h *execHandle) Wait() error {
 
 // Start spawns `topics-crawl -shard i/N` with the campaign's flags.
 func (l *ExecLauncher) Start(ctx context.Context, c *Campaign, spec ShardSpec, attempt int, resume bool) (Handle, error) {
-	if c.WorldConfig != nil || !c.Start.IsZero() || c.Vantage != "" {
-		return nil, fmt.Errorf("orchestrator: exec launcher cannot express WorldConfig/Start/Vantage overrides")
-	}
-	// topics-crawl's -retries is "extra attempts; 0 disables", the
-	// inverse of Campaign.Retries' "0 = default (2), negative disables".
-	retries := c.Retries
-	switch {
-	case retries == 0:
-		retries = 2
-	case retries < 0:
-		retries = 0
+	plain := webworld.Config{Seed: c.World.Seed, NumSites: c.World.NumSites}
+	if !reflect.DeepEqual(c.World, plain) || !c.Start.IsZero() || c.Vantage != "" {
+		return nil, fmt.Errorf("orchestrator: exec launcher cannot express World/Start/Vantage overrides")
 	}
 	args := []string{
 		"-shard", fmt.Sprintf("%d/%d", spec.Index, spec.Count),
-		"-seed", strconv.FormatUint(c.Seed, 10),
-		"-sites", strconv.Itoa(c.Sites),
+		"-seed", strconv.FormatUint(c.World.Seed, 10),
+		"-sites", strconv.Itoa(c.World.NumSites),
 		"-workers", strconv.Itoa(c.Workers),
 		"-out", c.OutputPath,
 		"-checkpoint-every", strconv.Itoa(c.CheckpointEvery),
-		"-retries", strconv.Itoa(retries),
+		"-retries", strconv.Itoa(c.Retries()),
 		"-chaos-seed", strconv.FormatUint(c.ChaosSeed, 10),
 	}
 	if c.Enforce {

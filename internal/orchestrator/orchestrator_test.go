@@ -11,10 +11,12 @@ import (
 	"testing"
 
 	"github.com/netmeasure/topicscope"
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/chaos"
 	"github.com/netmeasure/topicscope/internal/durable"
 	"github.com/netmeasure/topicscope/internal/obs"
 	"github.com/netmeasure/topicscope/internal/orchestrator"
+	"github.com/netmeasure/topicscope/internal/webworld"
 )
 
 // The distributed campaign's acceptance bar: an N-shard orchestrated
@@ -68,8 +70,8 @@ func runSingle(t *testing.T, out string, sites int) *topicscope.Results {
 
 func orchCampaign(out string, sites, shards int) orchestrator.Campaign {
 	return orchestrator.Campaign{
-		Seed: parSeed, Sites: sites, Workers: 8,
-		Chaos: true, ChaosSeed: parChaosSeed,
+		Spec:       campaign.Spec{World: webworld.Config{Seed: parSeed, NumSites: sites}, Chaos: true, ChaosSeed: parChaosSeed},
+		Workers:    8,
 		OutputPath: out, CheckpointEvery: parEvery,
 		Shards: shards,
 	}
@@ -125,6 +127,22 @@ func TestParseShard(t *testing.T) {
 		if _, _, err := orchestrator.ParseShard(bad); err == nil {
 			t.Errorf("ParseShard(%q) accepted", bad)
 		}
+	}
+}
+
+// TestExecLauncherRejectsWorldOverrides pins the exec boundary: a
+// worker's argv carries only -seed and -sites, so a campaign whose world
+// has calibration overrides must not be launched as if it had none.
+func TestExecLauncherRejectsWorldOverrides(t *testing.T) {
+	l := &orchestrator.ExecLauncher{Bin: "/nonexistent/topics-crawl"}
+	spec := orchestrator.ShardSpec{Index: 0, Count: 1, FromRank: 1, ToRank: 10}
+	c := orchCampaign(filepath.Join(t.TempDir(), "crawl.jsonl"), 10, 1)
+	if _, err := l.Start(context.Background(), &c, spec, 0, false); err == nil || strings.Contains(err.Error(), "cannot express") {
+		t.Fatalf("Start with a plain world = %v, want only the missing binary to fail it", err)
+	}
+	c.World.ReachableRate = 0.5
+	if _, err := l.Start(context.Background(), &c, spec, 0, false); err == nil || !strings.Contains(err.Error(), "cannot express") {
+		t.Fatalf("Start with a calibration override = %v, want the exec-boundary rejection", err)
 	}
 }
 
@@ -218,8 +236,8 @@ func TestGoldenShardedParity(t *testing.T) {
 // shardRunner runs one shard of the fixed 48-site matrix campaign.
 func shardRunner(out string, spec orchestrator.ShardSpec, resume bool, plan *chaos.CrashPlan) (*orchestrator.ShardResult, error) {
 	sc := orchestrator.ShardCampaign{
-		Seed: parSeed, Sites: 48, Workers: 8,
-		Chaos: true, ChaosSeed: parChaosSeed,
+		Spec:       campaign.Spec{World: webworld.Config{Seed: parSeed, NumSites: 48}, Chaos: true, ChaosSeed: parChaosSeed},
+		Workers:    8,
 		OutputPath: out, CheckpointEvery: parEvery,
 		Shard: spec, Resume: resume, CrashPlan: plan,
 	}
@@ -408,7 +426,8 @@ func TestMergeJournalsRejectsBadShards(t *testing.T) {
 	paths := []string{orchestrator.ShardPath(out, 0), orchestrator.ShardPath(out, 1)}
 	run := func(i int, resume bool, plan *chaos.CrashPlan) error {
 		sc := orchestrator.ShardCampaign{
-			Seed: parSeed, Sites: sites, Workers: 4,
+			Spec:       campaign.Spec{World: webworld.Config{Seed: parSeed, NumSites: sites}},
+			Workers:    4,
 			OutputPath: out, CheckpointEvery: parEvery,
 			Shard: specs[i], Resume: resume, CrashPlan: plan,
 		}
@@ -480,7 +499,8 @@ func TestMergeOnRecordOrder(t *testing.T) {
 	for i, spec := range specs {
 		paths[i] = orchestrator.ShardPath(out, i)
 		sc := orchestrator.ShardCampaign{
-			Seed: parSeed, Sites: sites, Workers: 4,
+			Spec:       campaign.Spec{World: webworld.Config{Seed: parSeed, NumSites: sites}},
+			Workers:    4,
 			OutputPath: out, CheckpointEvery: parEvery, Shard: spec,
 		}
 		if _, err := sc.Run(context.Background()); err != nil {

@@ -9,14 +9,12 @@ import (
 	"time"
 
 	"github.com/netmeasure/topicscope/internal/analysis"
-	"github.com/netmeasure/topicscope/internal/attestation"
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/chaos"
 	"github.com/netmeasure/topicscope/internal/crawler"
 	"github.com/netmeasure/topicscope/internal/dataset"
 	"github.com/netmeasure/topicscope/internal/durable"
 	"github.com/netmeasure/topicscope/internal/obs"
-	"github.com/netmeasure/topicscope/internal/webserver"
-	"github.com/netmeasure/topicscope/internal/webworld"
 )
 
 // ShardCampaign runs one shard of a distributed campaign in-process:
@@ -32,19 +30,10 @@ import (
 // consumer makes the journal's record order a pure function of the rank
 // window.
 type ShardCampaign struct {
-	// Seed, Sites, Workers, Enforce, Start, Vantage, Chaos, ChaosSeed,
-	// Retries and WorldConfig mirror topicscope.Campaign and must be
-	// identical across every shard of one campaign.
-	Seed        uint64
-	Sites       int
-	Workers     int
-	Enforce     bool
-	Start       time.Time
-	Vantage     string
-	Chaos       bool
-	ChaosSeed   uint64
-	Retries     int
-	WorldConfig *webworld.Config
+	// Spec is the campaign's identity and must be identical across
+	// every shard of one campaign. Workers is the crawl parallelism.
+	campaign.Spec
+	Workers int
 	// VisitBudget is the optional per-visit stage-clock watchdog
 	// (topics-crawl -visit-budget-ms).
 	VisitBudget time.Duration
@@ -101,30 +90,13 @@ func (c ShardCampaign) Run(ctx context.Context) (*ShardResult, error) {
 		c.Shard.FromRank < 1 || c.Shard.ToRank < c.Shard.FromRank {
 		return nil, fmt.Errorf("orchestrator: invalid shard %s", c.Shard)
 	}
-	cfg := webworld.Config{Seed: c.Seed, NumSites: c.Sites}
-	if c.WorldConfig != nil {
-		cfg = *c.WorldConfig
-	}
-	world := webworld.GenerateRange(cfg, c.Shard.FromRank, c.Shard.ToRank)
-	server := webserver.New(world, nil)
-	allow := attestation.NewAllowlist(world.Catalog.AllowedDomains()...)
-
-	client := server.Client()
-	if c.Chaos {
-		client.Transport = chaos.NewInjector(webworld.DefaultChaos(c.ChaosSeed), client.Transport)
-	}
-	attempts := 0
-	if c.Retries > 0 {
-		attempts = c.Retries + 1
-	} else if c.Retries < 0 {
-		attempts = 1
-	}
+	env := c.NewEnv(c.Shard.FromRank, c.Shard.ToRank)
 	reg := c.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 
-	list := world.List()
+	list := env.World.List()
 	rankSite := make(map[int]string, len(list.Entries))
 	for _, e := range list.Entries {
 		rankSite[e.Rank] = e.Domain
@@ -161,7 +133,7 @@ func (c ShardCampaign) Run(ctx context.Context) (*ShardResult, error) {
 	// Each shard maintains its own live analysis index beside its
 	// journal; the coordinator merges the per-shard snapshots with
 	// MergeShardIndexes instead of re-folding every shard's records.
-	liveIn := &analysis.Input{Allowlist: allow, Metrics: reg, FS: c.FS}
+	liveIn := &analysis.Input{Allowlist: env.Allow, Metrics: reg, FS: c.FS}
 	var journal *dataset.JournalWriter
 	var err error
 	if c.Resume {
@@ -205,20 +177,14 @@ func (c ShardCampaign) Run(ctx context.Context) (*ShardResult, error) {
 	for site := range skipSites {
 		crawlSkip[site] = true
 	}
-	cr := crawler.New(crawler.Config{
-		Client:             client,
-		ReferenceAllowlist: allow,
-		Enforce:            c.Enforce,
-		Workers:            c.Workers,
-		Start:              c.Start,
-		Vantage:            c.Vantage,
-		Writer:             journal,
-		SkipSites:          crawlSkip,
-		Attempts:           attempts,
-		VisitBudget:        c.VisitBudget,
-		Logger:             c.Logger,
-		Metrics:            reg,
-	})
+	ccfg := env.Config()
+	ccfg.Workers = c.Workers
+	ccfg.VisitBudget = c.VisitBudget
+	ccfg.Writer = journal
+	ccfg.SkipSites = crawlSkip
+	ccfg.Logger = c.Logger
+	ccfg.Metrics = reg
+	cr := crawler.New(ccfg)
 
 	c.writeStatus(path, StateRunning, nil)
 	crawlRes, err := cr.Run(ctx, list)

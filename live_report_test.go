@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/netmeasure/topicscope"
+	"github.com/netmeasure/topicscope/internal/crawler"
 )
 
 // TestLiveReportMatchesPostHoc pins the PR's acceptance criterion at
@@ -63,7 +64,7 @@ func TestLiveReportMatchesPostHoc(t *testing.T) {
 
 	// The live caller set must be exactly what the campaign's post-hoc
 	// sweep derived from the full dataset.
-	if want := topicscope.CallerDomains(results.Data); !reflect.DeepEqual(live.Callers(), want) {
+	if want := crawler.CallerDomains(results.Data); !reflect.DeepEqual(live.Callers(), want) {
 		t.Fatalf("live caller set %v\nwant %v", live.Callers(), want)
 	}
 

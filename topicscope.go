@@ -27,13 +27,10 @@ import (
 	"time"
 
 	"github.com/netmeasure/topicscope/internal/analysis"
-	"github.com/netmeasure/topicscope/internal/attestation"
-	"github.com/netmeasure/topicscope/internal/chaos"
+	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/crawler"
 	"github.com/netmeasure/topicscope/internal/dataset"
 	"github.com/netmeasure/topicscope/internal/obs"
-	"github.com/netmeasure/topicscope/internal/webserver"
-	"github.com/netmeasure/topicscope/internal/webworld"
 )
 
 // Campaign runs the paper's full methodology end to end: generate the
@@ -123,24 +120,18 @@ type Results struct {
 
 // Run executes the campaign.
 func (c Campaign) Run(ctx context.Context) (*Results, error) {
-	cfg := webworld.Config{Seed: c.Seed, NumSites: c.Sites}
-	if c.WorldConfig != nil {
-		cfg = *c.WorldConfig
-	}
-	world := webworld.Generate(cfg)
-	server := webserver.New(world, nil)
-	allow := attestation.NewAllowlist(world.Catalog.AllowedDomains()...)
-
-	client := server.Client()
-	if c.Chaos {
-		client.Transport = chaos.NewInjector(webworld.DefaultChaos(c.ChaosSeed), client.Transport)
-	}
 	attempts := 0 // crawler default
-	if c.Retries > 0 {
-		attempts = c.Retries + 1
-	} else if c.Retries < 0 {
-		attempts = 1
+	if c.Retries != 0 {
+		attempts = campaign.Attempts(c.Retries)
 	}
+	world := WorldConfig{Seed: c.Seed, NumSites: c.Sites}
+	if c.WorldConfig != nil {
+		world = *c.WorldConfig
+	}
+	env := campaign.Spec{
+		World: world, Enforce: c.Enforce, Start: c.Start, Vantage: c.Vantage,
+		Chaos: c.Chaos, ChaosSeed: c.ChaosSeed, Attempts: attempts,
+	}.NewEnv(1, campaign.AllRanks)
 	reg := c.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -152,19 +143,12 @@ func (c Campaign) Run(ctx context.Context) (*Results, error) {
 		traceWriter = obs.NewTraceWriter(c.Trace)
 		sink = append(sink, traceWriter)
 	}
-	ccfg := crawler.Config{
-		Client:             client,
-		ReferenceAllowlist: allow,
-		Enforce:            c.Enforce,
-		Workers:            c.Workers,
-		Collect:            true,
-		Start:              c.Start,
-		Vantage:            c.Vantage,
-		Attempts:           attempts,
-		Logger:             c.Logger,
-		Metrics:            reg,
-		Traces:             sink,
-	}
+	ccfg := env.Config()
+	ccfg.Workers = c.Workers
+	ccfg.Collect = true
+	ccfg.Logger = c.Logger
+	ccfg.Metrics = reg
+	ccfg.Traces = sink
 	var journal *dataset.JournalWriter
 	if c.OutputPath != "" {
 		// The incremental-analysis fold rides the journal's observer
@@ -172,7 +156,7 @@ func (c Campaign) Run(ctx context.Context) (*Results, error) {
 		// committed checkpoint serializes it beside the journal
 		// (<out>.idx), so topics-monitor -live and topics-report -live
 		// render the campaign's tables mid-crawl in O(tail + snapshot).
-		liveIn := &analysis.Input{Allowlist: allow, Metrics: reg}
+		liveIn := &analysis.Input{Allowlist: env.Allow, Metrics: reg}
 		var err error
 		journal, err = dataset.CreateJournal(c.OutputPath, dataset.JournalOptions{
 			CheckpointEvery: c.CheckpointEvery,
@@ -187,7 +171,7 @@ func (c Campaign) Run(ctx context.Context) (*Results, error) {
 	}
 	cr := crawler.New(ccfg)
 
-	res, err := cr.Run(ctx, world.List())
+	res, err := cr.Run(ctx, env.World.List())
 	if err != nil {
 		// On cancellation the crawler has already drained and flushed a
 		// final checkpoint; close the journal so the manifest is durable
@@ -205,9 +189,7 @@ func (c Campaign) Run(ctx context.Context) (*Results, error) {
 		}
 	}
 
-	domains := allow.Domains()
-	domains = append(domains, crawler.CallerDomains(res.Data)...)
-	recs := cr.CheckAttestations(ctx, domains)
+	recs := env.Sweep(ctx, cr, crawler.CallerDomains(res.Data))
 
 	// Campaign-level traces: the attestation sweep (one span per domain,
 	// built from the already-sorted records) and the analysis pass, both
@@ -223,7 +205,7 @@ func (c Campaign) Run(ctx context.Context) (*Results, error) {
 
 	in := &analysis.Input{
 		Data:         res.Data,
-		Allowlist:    allow,
+		Allowlist:    env.Allow,
 		Attestations: dataset.AttestationIndex(recs),
 		Metrics:      reg,
 	}
@@ -237,7 +219,7 @@ func (c Campaign) Run(ctx context.Context) (*Results, error) {
 		}
 	}
 	return &Results{
-		World:        world,
+		World:        env.World,
 		Data:         res.Data,
 		Stats:        res.Stats,
 		Attestations: recs,

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-core storage-faults cover bench bench-json bench-gate fuzz golden report report-check lint lint-escape live clean
+.PHONY: all build test race race-core storage-faults cover bench bench-json bench-gate bench-smoke fuzz golden report report-check lint lint-escape live clean
 
 all: build lint test race-core
 
@@ -78,6 +78,13 @@ bench-json:
 bench-gate:
 	$(GO) test -run '^$$' -bench=. -benchtime=0.2s -benchmem . \
 		| $(GO) run ./cmd/benchjson -check BENCH_report.json -tol 0.2
+
+# Build and smoke-test the benchmark module (bench/, its own go.mod
+# that replaces this module with ../): a library change that breaks the
+# benchmark's imports fails here, not in the benchmark run.
+bench-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Short fuzz pass over every parser.
 fuzz:

@@ -415,13 +415,6 @@ func LoadLiveAnalysisIndex(journalPath string, in *AnalysisInput) (*LiveAnalysis
 	return analysis.LoadLiveIndex(journalPath, in)
 }
 
-// LoadLiveAnalysis is LoadLiveAnalysisIndex plus finalization: the
-// returned index equals what BuildAnalysisIndex over the journal's full
-// record stream builds. Adopt it with AdoptAnalysisIndex.
-func LoadLiveAnalysis(journalPath string, in *AnalysisInput) (*AnalysisIndex, *LiveAnalysisStats, error) {
-	return analysis.LoadLive(journalPath, in)
-}
-
 // AdoptAnalysisIndex installs an externally assembled index (a live
 // snapshot or a shard merge) as the input's index, so Analyze and the
 // Compute* helpers reuse it instead of re-scanning the dataset.

@@ -257,18 +257,24 @@ func main() {
 	}
 	// The closing lines and the attestation sweep describe the whole
 	// journal — a resumed run's earlier segments included — so they read
-	// the journal's fold, not this run's records.
+	// the journal's fold, not this run's records. The fold is finalized
+	// in place once its counts and callers are read.
 	live := sink.Live()
 	if live == nil {
 		fatal(fmt.Errorf("reading back the analysis index of %s", *out))
 	}
+	records, callers := live.Visits(), live.Callers()
 	whole := &topicscope.AnalysisInput{Allowlist: env.Allow}
-	topicscope.AdoptAnalysisIndex(whole, live.Snapshot(whole))
+	idx, err := analysis.MergeShardIndexes(whole, live)
+	if err != nil {
+		fatal(err)
+	}
+	topicscope.AdoptAnalysisIndex(whole, idx)
 	fmt.Printf("crawl: %s\n", res.Stats)
 	if env.Injector != nil {
 		fmt.Printf("chaos: %s\n", env.Injector.Stats().Snapshot())
 	}
-	fmt.Printf("dataset: %s (%d visit records)\n", *out, live.Visits())
+	fmt.Printf("dataset: %s (%d visit records)\n", *out, records)
 	fmt.Printf("success rate: %.1f%% (paper: 86.8%%)\n", analysis.ComputeReliability(whole).SuccessRate*100)
 	if traceWriter != nil {
 		if err := traceWriter.Flush(); err != nil {
@@ -287,7 +293,10 @@ func main() {
 
 	// Attestation checks for every allow-listed domain plus every
 	// calling party the journal holds.
-	recs := env.Sweep(ctx, cr, live.Callers())
+	recs, err := env.Sweep(ctx, cr, callers)
+	if err != nil {
+		fatal(err)
+	}
 	if err := topicscope.SaveAttestations(*attest, recs); err != nil {
 		fatal(err)
 	}

@@ -193,9 +193,13 @@ func liveDashboard(ctx context.Context, path string, seed uint64, sites int, fol
 				st.Records, st.BytesRead, st.Indexed)
 		}
 
+		recs, err := env.Sweep(ctx, nil, idx.Callers())
+		if err != nil {
+			return err
+		}
 		in := &topicscope.AnalysisInput{
 			Allowlist:    allow,
-			Attestations: topicscope.AttestationIndex(env.Sweep(ctx, nil, idx.Callers())),
+			Attestations: topicscope.AttestationIndex(recs),
 			Metrics:      reg,
 		}
 		topicscope.AdoptAnalysisIndex(in, idx.Snapshot(in))

@@ -110,10 +110,10 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("attestations: %s (%d domains)\n", *attest, len(res.Attestations))
-	if err := topicscope.SaveAllowlist(*allowOut, res.Analysis.Allowlist); err != nil {
+	if err := topicscope.SaveAllowlist(*allowOut, res.Input.Allowlist); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("allow-list: %s (%d domains)\n", *allowOut, res.Analysis.Allowlist.Len())
+	fmt.Printf("allow-list: %s (%d domains)\n", *allowOut, res.Input.Allowlist.Len())
 
 	if *reportOut != "" {
 		if err := topicscope.WriteFileAtomic(*reportOut, res.Report.WriteJSON); err != nil {

@@ -168,28 +168,27 @@ func main() {
 
 // liveReport renders the analysis report straight from a campaign
 // journal: restore the checkpoint index snapshot, fold only the
-// uncommitted tail, run the attestation sweep over the live index's
-// caller set (the same set crawler.CallerDomains would extract from the
-// collected dataset), and compute every section from the assembled
-// index. At the final checkpoint the output is byte-identical to the
+// uncommitted tail, then run the campaign's post-crawl step over the
+// assembled fold — the attestation sweep over its callers and every
+// section. At the final checkpoint the output is byte-identical to the
 // post-hoc report over the finished dataset.
 func liveReport(ctx context.Context, path string, spec campaign.Spec, out, jsonOut string, reg *topicscope.MetricsRegistry) error {
 	env := spec.NewEnv(1, campaign.AllRanks)
-	in := &topicscope.AnalysisInput{Allowlist: env.Allow, Metrics: reg}
-	live, st, err := topicscope.LoadLiveAnalysisIndex(path, in)
+	live, st, err := topicscope.LoadLiveAnalysisIndex(path, &topicscope.AnalysisInput{Allowlist: env.Allow, Metrics: reg})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "live: %d records (snapshot %d + tail %d), %d journal bytes read, snapshot restored: %v\n",
 		live.Visits(), st.SnapshotRecords, st.TailRecords, st.BytesRead, st.SnapshotRestored)
 
-	// The attestation sweep the campaign would run after the crawl,
-	// against the same served world (and the same chaos weather — its
-	// decisions are pure per-request functions, so the outcomes match).
-	in.Attestations = topicscope.AttestationIndex(env.Sweep(ctx, nil, live.Callers()))
-
-	topicscope.AdoptAnalysisIndex(in, live.Snapshot(in))
-	report := topicscope.Analyze(in)
+	// The sweep runs against the same served world as the campaign's
+	// (and the same chaos weather — its decisions are pure per-request
+	// functions, so the outcomes match).
+	an, err := env.Analyze(ctx, nil, live, nil, reg)
+	if err != nil {
+		return err
+	}
+	report := an.Report
 
 	if jsonOut != "" {
 		if err := topicscope.WriteFileAtomic(jsonOut, report.WriteJSON); err != nil {

@@ -105,7 +105,7 @@ func syntheticFill() []*Platform {
 			AttestedAt:        callerEnrolmentDate(i),
 			HasEnrollmentSite: i%5 != 0,
 			CallsTopics:       true,
-			Reach:             0.002 + 0.0006*float64(i%12),
+			Reach:             0.002 + float64(0.0006*float64(i%12)), // rounded before the add: no FMA
 			EnabledRate:       abClusters[i%len(abClusters)],
 			ConsentAware:      i >= needQuestionable,
 			CallMix:           mixJS,

@@ -149,13 +149,13 @@ func foldParts(s *LiveIndex, n int, fold func(i int, part *LiveIndex) error) err
 		return err
 	}
 	for _, part := range parts {
-		s.absorb(part)
+		s.Absorb(part)
 	}
 	return nil
 }
 
 // LiveIndex is the analysis index before finalize: the accumulator
-// every Index is folded into. Fold adds one visit record; absorb merges
+// every Index is folded into. Fold adds one visit record; Absorb merges
 // another accumulator. Every field merges commutatively (see the Index
 // determinism invariant), so the striped batch fold, per-shard partials
 // merged in any order, and a fold fed one committed record at a time as
@@ -173,7 +173,7 @@ func foldParts(s *LiveIndex, n int, fold func(i int, part *LiveIndex) error) err
 type LiveIndex struct {
 	in    *Input
 	cache *etld.Cache
-	// visits counts the records folded in, directly or by absorb.
+	// visits counts the records folded in, directly or by Absorb.
 	visits int
 
 	called  map[dataset.Phase]map[string]siteSet
@@ -500,14 +500,14 @@ func (s *LiveIndex) Fold(v *dataset.Visit) {
 	}
 }
 
-// absorb merges another accumulator into s. Wherever both hold a map —
+// Absorb merges another accumulator into s. Wherever both hold a map —
 // a set, a counter, a per-key table — the smaller merges into the
 // larger, which s keeps, so o's maps end up shared or spent: o must be
 // dead afterwards (every caller absorbs a stripe, a range, a shard or a
 // segment it then drops, or a clone). Every operation is commutative,
 // so neither the merge order nor which side is larger can influence
 // the result.
-func (s *LiveIndex) absorb(o *LiveIndex) {
+func (s *LiveIndex) Absorb(o *LiveIndex) {
 	s.visits += o.visits
 	s.called = mergeMap(s.called, o.called, mergeSiteSets)
 	s.present = mergeMap(s.present, o.present, mergeSiteSets)

@@ -55,7 +55,7 @@ func TestIndexShardMergeProperty(t *testing.T) {
 		order := rng.Perm(k)
 		agg := shards[order[0]]
 		for _, j := range order[1:] {
-			agg.absorb(shards[j])
+			agg.Absorb(shards[j])
 		}
 		idx := agg.finalize(in)
 

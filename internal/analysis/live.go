@@ -17,9 +17,10 @@ import (
 // Visits returns how many records the accumulator holds.
 func (s *LiveIndex) Visits() int { return s.visits }
 
-// Callers returns every distinct calling party folded so far, sorted —
-// the same set crawler.CallerDomains extracts from a collected dataset,
-// so a live consumer can run the attestation sweep without the visits.
+// Callers returns every distinct calling party folded so far, sorted:
+// the domains whose attestations the report needs. Every report path
+// takes its attestation sweep's callers from here, so none needs the
+// visits themselves.
 func (s *LiveIndex) Callers() []string {
 	out := make([]string, 0, len(s.callers))
 	for c := range s.callers {
@@ -351,7 +352,7 @@ func decodeLog(journalPath string, in *Input) ([]*segment, segmentLog, error) {
 func restoreSegments(in *Input, segs []*segment) *LiveIndex {
 	s := segs[0].live
 	for _, seg := range segs[1:] {
-		s.absorb(seg.live)
+		s.Absorb(seg.live)
 	}
 	s.in = in
 	return s
@@ -378,9 +379,8 @@ type LiveStats struct {
 // growing) journal: restore the checkpoint snapshot and fold only the
 // tail past the committed offset — O(tail + snapshot) bytes — or
 // degrade to a full folding scan when the snapshot is unusable. The
-// returned accumulator is not finalized: call Callers() to run the
-// attestation sweep, then Snapshot(in) against an input carrying the
-// checks. LoadLive wraps both steps when the input is already complete.
+// returned accumulator is not finalized: the attestation sweep reads
+// its Callers() first (campaign.Env.Analyze runs both steps).
 func LoadLiveIndex(journalPath string, in *Input) (*LiveIndex, *LiveStats, error) {
 	st := &LiveStats{}
 	live, info := LoadIndexSnapshot(journalPath, in)
@@ -397,6 +397,13 @@ func LoadLiveIndex(journalPath string, in *Input) (*LiveIndex, *LiveStats, error
 	}
 	in.Metrics.Add("analysis_live_tail_records_total", st.TailRecords)
 	return live, st, nil
+}
+
+// FoldJournal folds every record of the journal, from byte 0, into s
+// with the parallel range fold (see foldRecords). It reads no .idx: a
+// reader that must not trust the snapshot folds the journal itself.
+func (s *LiveIndex) FoldJournal(journalPath string) error {
+	return foldRecords(journalPath, 0, -1, s, &LiveStats{}, runtime.GOMAXPROCS(0))
 }
 
 // foldRecords folds the journal's records from the committed byte
@@ -443,19 +450,6 @@ func foldRange(journalPath string, r dataset.MemberRange, s *LiveIndex, st *Live
 	st.BytesRead += rs.BytesRead
 	st.Truncated = rs.Truncated
 	return nil
-}
-
-// LoadLive assembles and finalizes the analysis index for a journal in
-// O(tail + snapshot) bytes (see LoadLiveIndex). The returned Index is
-// finalized against in (allow-list block, attestation checks) and
-// equals what BuildIndex over the journal's full record stream builds;
-// adopt it with in.AdoptIndex to serve Compute*/Run queries.
-func LoadLive(journalPath string, in *Input) (*Index, *LiveStats, error) {
-	live, st, err := LoadLiveIndex(journalPath, in)
-	if err != nil {
-		return nil, nil, err
-	}
-	return live.finalize(in), st, nil
 }
 
 // LiveSink is the fold consumer hooked into the crawler's rank-ordered
@@ -540,7 +534,7 @@ func (s *LiveSink) Live() *LiveIndex {
 			return nil
 		}
 	}
-	live.absorb(s.delta.clone(s.in))
+	live.Absorb(s.delta.clone(s.in))
 	return live
 }
 
@@ -607,7 +601,7 @@ func (s *LiveSink) ObserveCheckpoint(ck durable.Checkpoint) error {
 			s.in.Metrics.Add("storage_accelerator_write_failures_total", 1, "artifact", "snapshot")
 			return nil
 		}
-		full.absorb(s.delta)
+		full.Absorb(s.delta)
 	}
 	written, err := full.storeSnapshot(s.path, ck)
 	if err != nil {

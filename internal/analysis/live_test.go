@@ -285,16 +285,16 @@ func TestLiveSnapshotRoundTrip(t *testing.T) {
 	fullIn := &Input{Data: in.Data, Allowlist: in.Allowlist, Attestations: in.Attestations}
 	assertIndexEqual(t, "restored+folded tail", live.Snapshot(in), fullIn.Index())
 
-	// LoadLive over the same journal reads zero tail bytes: everything
+	// loadLive over the same journal reads zero tail bytes: everything
 	// was committed and snapshotted.
-	idx, st, err := LoadLive(path, &Input{Allowlist: in.Allowlist, Attestations: in.Attestations})
+	idx, st, err := loadLive(path, &Input{Allowlist: in.Allowlist, Attestations: in.Attestations})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.SnapshotRestored || st.TailRecords != 0 || st.BytesRead != 0 {
-		t.Fatalf("final-checkpoint LoadLive stats %+v, want restored snapshot and an empty tail", st)
+		t.Fatalf("final-checkpoint loadLive stats %+v, want restored snapshot and an empty tail", st)
 	}
-	assertIndexEqual(t, "LoadLive", idx, prefixIn.Index())
+	assertIndexEqual(t, "loadLive", idx, prefixIn.Index())
 }
 
 // TestLiveSnapshotCorruptionDegrades is the torn-.idx half of satellite
@@ -406,7 +406,7 @@ func TestLiveSnapshotCorruptionDegrades(t *testing.T) {
 			if live, _ := LoadIndexSnapshot(path, &Input{Allowlist: in.Allowlist}); live != nil {
 				t.Fatal("corrupt snapshot restored")
 			}
-			idx, st, err := LoadLive(path, &Input{Allowlist: in.Allowlist, Attestations: in.Attestations})
+			idx, st, err := loadLive(path, &Input{Allowlist: in.Allowlist, Attestations: in.Attestations})
 			if err != nil {
 				t.Fatalf("corrupt snapshot must degrade, not error: %v", err)
 			}
@@ -777,4 +777,14 @@ func TestLiveSnapshotWritesStayLinear(t *testing.T) {
 	}
 	t.Logf("%d checkpoints: %d .idx bytes written (%.2fx the %d-byte final file), %d full rewrites",
 		checkpoints, fsys.written, float64(fsys.written)/float64(len(final)), len(final), fsys.rewrites)
+}
+
+// loadLive is LoadLiveIndex finalized in place against in, the way a
+// one-shot report reads a journal.
+func loadLive(path string, in *Input) (*Index, *LiveStats, error) {
+	live, st, err := LoadLiveIndex(path, in)
+	if err != nil {
+		return nil, nil, err
+	}
+	return live.finalize(in), st, nil
 }

@@ -3,23 +3,27 @@
 // holds the parameters that decide every visit record (the optional
 // per-visit budget aside, a run setting of the crawls that use it); NewEnv
 // turns it into a rank window's world, allow-list, chaos-weathered
-// client and pre-filled crawler configuration, and Env.Sweep runs the
-// post-crawl attestation sweep. The single-process campaign, shard
-// workers, the coordinator's analysis phase, fsck's recrawls and report
-// check, and the CLIs all go through here, so a repaired, resumed or
-// sharded campaign publishes the same numbers as a clean one.
+// client and pre-filled crawler configuration, Env.Sweep runs the
+// post-crawl attestation sweep, and Env.Analyze turns a campaign's fold
+// into its report. The single-process campaign, shard workers, the
+// coordinator's analysis phase, fsck's recrawls and report check, and
+// the CLIs all go through here, so a repaired, resumed or sharded
+// campaign publishes the same numbers as a clean one.
 package campaign
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net/http"
 	"time"
 
+	"github.com/netmeasure/topicscope/internal/analysis"
 	"github.com/netmeasure/topicscope/internal/attestation"
 	"github.com/netmeasure/topicscope/internal/chaos"
 	"github.com/netmeasure/topicscope/internal/crawler"
 	"github.com/netmeasure/topicscope/internal/dataset"
+	"github.com/netmeasure/topicscope/internal/obs"
 	"github.com/netmeasure/topicscope/internal/webserver"
 	"github.com/netmeasure/topicscope/internal/webworld"
 )
@@ -135,10 +139,49 @@ func (e *Env) Config() crawler.Config {
 // Sweep runs the post-crawl attestation sweep: the well-known file of
 // every allow-listed domain and every observed caller, checked through
 // cr (nil = a crawler on this environment). Callers must come from the
-// whole campaign — a fold or the full dataset — not one run's segment.
-func (e *Env) Sweep(ctx context.Context, cr *crawler.Crawler, callers []string) []dataset.AttestationRecord {
+// whole campaign's fold, not one run's segment. A sweep cut short by ctx
+// returns ctx's error: its records are fetch errors, not the campaign's.
+func (e *Env) Sweep(ctx context.Context, cr *crawler.Crawler, callers []string) ([]dataset.AttestationRecord, error) {
 	if cr == nil {
 		cr = crawler.New(e.Config())
 	}
-	return cr.CheckAttestations(ctx, append(e.Allow.Domains(), callers...))
+	recs := cr.CheckAttestations(ctx, append(e.Allow.Domains(), callers...))
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("campaign: attestation sweep: %w", err)
+	}
+	return recs, nil
+}
+
+// Analysis is a campaign's post-crawl product: the sweep's checks sorted
+// by domain, the report, and the input it was computed from, whose
+// finalized index further Compute* calls reuse.
+type Analysis struct {
+	Attestations []dataset.AttestationRecord
+	Report       *analysis.Report
+	Input        *analysis.Input
+}
+
+// Analyze is the post-crawl step of every report path: the sweep over
+// the callers live has folded, through cr (nil = a crawler on this
+// environment), then live finalized in place against its checks and
+// every section computed. live must cover the whole campaign and is
+// spent afterwards. data, where the caller collected the records, rides
+// on the input for analysis.BuildTrace, which counts them.
+func (e *Env) Analyze(ctx context.Context, cr *crawler.Crawler, live *analysis.LiveIndex, data *dataset.Dataset, reg *obs.Registry) (*Analysis, error) {
+	recs, err := e.Sweep(ctx, cr, live.Callers())
+	if err != nil {
+		return nil, err
+	}
+	in := &analysis.Input{
+		Data:         data,
+		Allowlist:    e.Allow,
+		Attestations: dataset.AttestationIndex(recs),
+		Metrics:      reg,
+	}
+	idx, err := analysis.MergeShardIndexes(in, live)
+	if err != nil {
+		return nil, err
+	}
+	in.AdoptIndex(idx)
+	return &Analysis{Attestations: recs, Input: in, Report: analysis.Run(in)}, nil
 }

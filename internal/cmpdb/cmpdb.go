@@ -114,7 +114,7 @@ func Pick(rng *rand.Rand) CMP {
 func BaselineMisconfigRate() float64 {
 	var sum, w float64
 	for _, c := range catalog {
-		sum += c.Share * c.MisconfigRate
+		sum += float64(c.Share * c.MisconfigRate) // rounded before the add: no FMA
 		w += c.Share
 	}
 	return sum / w

@@ -83,7 +83,9 @@ func checkOne(ctx context.Context, client *http.Client, scheme, domain string) d
 }
 
 // CallerDomains extracts the distinct calling-party domains from a
-// dataset, the set whose attestations the analysis needs.
+// collected dataset: the set analysis.LiveIndex.Callers returns for the
+// same records. Every report path takes its callers from its fold; this
+// stays for the bench module's layer-by-layer campaign, which calls it.
 func CallerDomains(d *dataset.Dataset) []string {
 	seen := make(map[string]bool)
 	for i := range d.Visits {

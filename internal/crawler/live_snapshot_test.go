@@ -26,9 +26,13 @@ import (
 func liveReportJSON(t *testing.T, path string) ([]byte, *analysis.LiveStats) {
 	t.Helper()
 	in := &analysis.Input{Allowlist: cwAllow}
-	idx, st, err := analysis.LoadLive(path, in)
+	live, st, err := analysis.LoadLiveIndex(path, in)
 	if err != nil {
-		t.Fatalf("LoadLive(%s): %v", path, err)
+		t.Fatalf("LoadLiveIndex(%s): %v", path, err)
+	}
+	idx, err := analysis.MergeShardIndexes(in, live)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !in.AdoptIndex(idx) {
 		t.Fatal("live index not adopted")

@@ -9,8 +9,6 @@ import (
 
 	"github.com/netmeasure/topicscope/internal/analysis"
 	"github.com/netmeasure/topicscope/internal/campaign"
-	"github.com/netmeasure/topicscope/internal/crawler"
-	"github.com/netmeasure/topicscope/internal/dataset"
 	"github.com/netmeasure/topicscope/internal/durable"
 	"github.com/netmeasure/topicscope/internal/fsck"
 	"github.com/netmeasure/topicscope/internal/obs"
@@ -70,25 +68,18 @@ type Campaign struct {
 	Metrics *obs.Registry
 }
 
-// Result bundles a distributed campaign's outputs. Data, Attestations,
-// Report and Analysis carry exactly what topicscope.Results would for
-// the same campaign run in one process.
+// Result bundles a distributed campaign's outputs. Its attestations,
+// report and analysis input are exactly what topicscope.Results would
+// carry for the same campaign run in one process; the visits stay in the
+// merged journal.
 type Result struct {
+	*campaign.Analysis
 	// Shards is the rank partition the campaign ran with.
 	Shards []ShardSpec
 	// Merge reports the journal merge.
 	Merge MergeStats
 	// Restarts counts worker restarts across all shards.
 	Restarts int
-	// Data holds every visit record, in global rank order.
-	Data *dataset.Dataset
-	// Attestations are the campaign-wide well-known checks.
-	Attestations []dataset.AttestationRecord
-	// Report holds every computed experiment.
-	Report *analysis.Report
-	// Analysis is the input the report was computed from, carrying the
-	// merged cross-shard index.
-	Analysis *analysis.Input
 	// Metrics is the coordinator's registry.
 	Metrics *obs.Registry
 }
@@ -274,88 +265,46 @@ func (c Campaign) Run(ctx context.Context) (*Result, error) {
 	}
 
 	// Merge phase: validate and concatenate the shard journals into the
-	// campaign dataset, collecting each shard's visits on the way for
-	// the cross-shard analysis merge.
+	// campaign dataset.
 	shardPaths := make([]string, len(specs))
 	for i := range specs {
 		shardPaths[i] = ShardPath(c.OutputPath, i)
 	}
-	parts := make([][]dataset.Visit, len(specs))
-	mergeStats, err := MergeJournals(c.OutputPath, shardPaths, c.Metrics, func(shard int, payload []byte) error {
-		var v dataset.Visit
-		if err := dataset.DecodeVisit(payload, &v); err != nil {
-			return fmt.Errorf("orchestrator: decoding visit from shard %d: %w", shard, err)
-		}
-		parts[shard] = append(parts[shard], v)
-		return nil
-	})
+	mergeStats, err := MergeJournals(c.OutputPath, shardPaths, c.Metrics)
 	if err != nil {
 		return nil, err
 	}
 	if c.Logger != nil {
 		c.Logger.Info("shards merged", "records", mergeStats.Records, "sites", mergeStats.Sites)
 	}
-	data := &dataset.Dataset{}
-	for _, p := range parts {
-		data.Visits = append(data.Visits, p...)
-	}
 
-	// Analysis phase, replicating the single-process campaign: the full
-	// world (the attestation sweep reaches sister and site domains no
-	// single shard generates), the same chaos weather on its client, the
-	// campaign-wide attestation checks, and a report computed from the
-	// commutative merge of per-shard index partials.
+	// Analysis phase, replicating the single-process campaign over the
+	// merge of the shards' folds: each shard's .idx restored, or its
+	// journal folded where the snapshot does not match. The full world
+	// runs the sweep (it reaches sister and site domains no single shard
+	// generates), with the same chaos weather on its client.
 	env := c.NewEnv(1, campaign.AllRanks)
-	recs := env.Sweep(ctx, nil, crawler.CallerDomains(data))
-
-	in := &analysis.Input{
-		Data:         data,
-		Allowlist:    env.Allow,
-		Attestations: dataset.AttestationIndex(recs),
-		Metrics:      c.Metrics,
+	shardIn := &analysis.Input{Allowlist: env.Allow, Metrics: c.Metrics}
+	live := analysis.NewLiveIndex(shardIn)
+	for i, path := range shardPaths {
+		part, st, err := analysis.LoadLiveIndex(path, shardIn)
+		if err != nil {
+			return nil, err
+		}
+		if got, want := int64(part.Visits()), mergeStats.ShardRecords[i]; got != want {
+			return nil, fmt.Errorf("orchestrator: shard %d (%s): index holds %d records, the merge took %d", i, path, got, want)
+		}
+		metric := "orchestrator_shard_index_rebuilt_total"
+		if st.SnapshotRestored {
+			metric = "orchestrator_shard_index_restored_total"
+		}
+		c.Metrics.Add(metric, 1)
+		live.Absorb(part)
 	}
-	partials := make([]*analysis.LiveIndex, len(parts))
-	var iwg sync.WaitGroup
-	for i := range parts {
-		iwg.Add(1)
-		go func(i int) {
-			defer iwg.Done()
-			// Each worker serialized its live index beside its journal at
-			// every checkpoint; a snapshot matching the shard's final
-			// manifest, our allow-list, and the merged record count is
-			// adopted as the merge partial without re-folding the shard.
-			// Anything less degrades to the from-scratch build.
-			shardIn := &analysis.Input{Allowlist: env.Allow, Metrics: c.Metrics}
-			if live, _ := analysis.LoadIndexSnapshot(shardPaths[i], shardIn); live != nil && live.Visits() == len(parts[i]) {
-				partials[i] = live
-				c.Metrics.Add("orchestrator_shard_index_restored_total", 1)
-				return
-			}
-			c.Metrics.Add("orchestrator_shard_index_rebuilt_total", 1)
-			partials[i] = analysis.BuildShardIndex(&analysis.Input{
-				Data:         &dataset.Dataset{Visits: parts[i]},
-				Allowlist:    env.Allow,
-				Attestations: in.Attestations,
-				Metrics:      c.Metrics,
-			})
-		}(i)
-	}
-	iwg.Wait()
-	idx, err := analysis.MergeShardIndexes(in, partials...)
+	an, err := env.Analyze(ctx, nil, live, nil, c.Metrics)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("orchestrator: %w", err)
 	}
-	in.AdoptIndex(idx)
-	report := analysis.Run(in)
 
-	return &Result{
-		Shards:       specs,
-		Merge:        *mergeStats,
-		Restarts:     restarts,
-		Data:         data,
-		Attestations: recs,
-		Report:       report,
-		Analysis:     in,
-		Metrics:      c.Metrics,
-	}, nil
+	return &Result{Analysis: an, Shards: specs, Merge: *mergeStats, Restarts: restarts, Metrics: c.Metrics}, nil
 }

@@ -17,6 +17,8 @@ type MergeStats struct {
 	// completed-site count.
 	Records int64
 	Sites   int
+	// ShardRecords is each shard's record count, in shard order.
+	ShardRecords []int64
 	// PayloadCRC is the running CRC-32C over every merged payload — the
 	// same content hash a single-process journal's manifest would carry.
 	PayloadCRC uint32
@@ -51,11 +53,7 @@ type mergeProbe struct {
 // inputs validate... see note below: validation happens per shard
 // before its records are appended, and a failed merge removes the
 // partial output).
-//
-// onRecord, when non-nil, observes every payload in merge order with
-// its shard index — the coordinator uses it to build per-shard
-// analysis partials without re-reading the merged journal.
-func MergeJournals(out string, shardPaths []string, reg *obs.Registry, onRecord func(shard int, payload []byte) error) (*MergeStats, error) {
+func MergeJournals(out string, shardPaths []string, reg *obs.Registry) (*MergeStats, error) {
 	if len(shardPaths) == 0 {
 		return nil, fmt.Errorf("orchestrator: merging zero shards")
 	}
@@ -124,11 +122,6 @@ func MergeJournals(out string, shardPaths []string, reg *obs.Registry, onRecord 
 				lastRank = probe.Rank
 				shardCRC = durable.PayloadCRC(shardCRC, payload)
 				shardRecords++
-				if onRecord != nil {
-					if err := onRecord(i, payload); err != nil {
-						return err
-					}
-				}
 				return merged.Append(payload)
 			})
 			return err
@@ -144,6 +137,7 @@ func MergeJournals(out string, shardPaths []string, reg *obs.Registry, onRecord 
 		}
 
 		st.Records += shardRecords
+		st.ShardRecords = append(st.ShardRecords, shardRecords)
 		st.Sites += m.Sites
 		st.WatermarkRank = m.WatermarkRank
 		st.WatermarkSite = m.WatermarkSite

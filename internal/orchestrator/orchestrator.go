@@ -8,8 +8,9 @@
 // re-frames the rank-contiguous shards through internal/durable into
 // one dataset whose canonical bytes are identical to a single-process
 // crawl of the same (world, seed, chaos), and the per-shard analysis
-// partials merge commutatively into the same report — the merge-parity
-// golden tests pin both.
+// folds merge commutatively into the same report — the merge-parity
+// golden tests pin both. The coordinator decodes no visit: the merge
+// copies payloads, and the report reads the shards' folds.
 //
 // The design leans entirely on invariants the rest of the repo already
 // enforces: visits are timed on a virtual clock derived from the global

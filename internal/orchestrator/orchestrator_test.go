@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/netmeasure/topicscope"
+	"github.com/netmeasure/topicscope/internal/analysis"
 	"github.com/netmeasure/topicscope/internal/campaign"
 	"github.com/netmeasure/topicscope/internal/chaos"
 	"github.com/netmeasure/topicscope/internal/durable"
@@ -195,8 +195,8 @@ func TestGoldenShardedParity(t *testing.T) {
 			if got, want := reportJSON(t, res.Report), reportJSON(t, ref.Report); !bytes.Equal(got, want) {
 				t.Fatal("merged report JSON differs from single-process report")
 			}
-			if res.Data.Len() != ref.Data.Len() {
-				t.Errorf("merged dataset holds %d visits, single-process %d", res.Data.Len(), ref.Data.Len())
+			if res.Merge.Records != int64(ref.Data.Len()) {
+				t.Errorf("merged dataset holds %d visits, single-process %d", res.Merge.Records, ref.Data.Len())
 			}
 			if res.Restarts != 0 {
 				t.Errorf("clean campaign recorded %d restarts", res.Restarts)
@@ -289,7 +289,7 @@ func TestCrashRestartMatrixMergeParity(t *testing.T) {
 	if n < 10 {
 		t.Fatalf("matrix too small: shard 1 has %d records", n)
 	}
-	if _, err := orchestrator.MergeJournals(out, shardPaths, obs.NewRegistry(), nil); err != nil {
+	if _, err := orchestrator.MergeJournals(out, shardPaths, obs.NewRegistry()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(canonical(t, out), refBytes) {
@@ -329,7 +329,7 @@ func TestCrashRestartMatrixMergeParity(t *testing.T) {
 			}
 		}
 
-		if _, err := orchestrator.MergeJournals(out, shardPaths, obs.NewRegistry(), nil); err != nil {
+		if _, err := orchestrator.MergeJournals(out, shardPaths, obs.NewRegistry()); err != nil {
 			t.Fatalf("crashpoint %d: merge: %v", k, err)
 		}
 		if !bytes.Equal(canonical(t, out), refBytes) {
@@ -381,6 +381,63 @@ func TestCoordinatorRestartsCrashedWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(reportJSON(t, res.Report), reportJSON(t, ref.Report)) {
 		t.Fatal("crash+restart campaign report differs from single-process report")
+	}
+}
+
+// idleLauncher starts no worker: a resume over shards that are already
+// complete then leaves every shard artifact exactly as the test set it.
+type idleLauncher struct{}
+
+type doneHandle struct{}
+
+func (doneHandle) Wait() error { return nil }
+
+func (idleLauncher) Start(context.Context, *orchestrator.Campaign, orchestrator.ShardSpec, int, bool) (orchestrator.Handle, error) {
+	return doneHandle{}, nil
+}
+
+// TestCoordinatorResumeWithoutShardIndex deletes one shard's .idx after
+// a finished campaign and resumes it. With in-process workers the resumed
+// shard refolds its journal and writes the .idx again; with no worker at
+// all the coordinator folds that shard's journal itself. Either way the
+// report must be the first run's, byte for byte.
+func TestCoordinatorResumeWithoutShardIndex(t *testing.T) {
+	const sites = 48
+	out := filepath.Join(t.TempDir(), "merged.jsonl")
+	first, err := orchCampaign(out, sites, 4).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reportJSON(t, first.Report)
+	for _, tc := range []struct {
+		name     string
+		launcher orchestrator.Launcher
+		rebuilt  int64
+	}{
+		{"workers", nil, 0},
+		{"no-workers", idleLauncher{}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.Remove(analysis.IndexSnapshotPath(orchestrator.ShardPath(out, 2))); err != nil {
+				t.Fatal(err)
+			}
+			c := orchCampaign(out, sites, 4)
+			c.Resume, c.Launcher = true, tc.launcher
+			res, err := c.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(reportJSON(t, res.Report), want) {
+				t.Error("resumed campaign's report differs from the first run's")
+			}
+			snap := res.Metrics.Snapshot()
+			if got := snap.Counter("orchestrator_shard_index_rebuilt_total"); got != tc.rebuilt {
+				t.Errorf("%d shard journals folded, want %d", got, tc.rebuilt)
+			}
+			if got := snap.Counter("orchestrator_shard_index_restored_total"); got != 4-tc.rebuilt {
+				t.Errorf("%d shard snapshots restored, want %d", got, 4-tc.rebuilt)
+			}
+		})
 	}
 }
 
@@ -440,7 +497,7 @@ func TestMergeJournalsRejectsBadShards(t *testing.T) {
 
 	assertRejected := func(name string, paths []string) {
 		t.Helper()
-		if _, err := orchestrator.MergeJournals(out, paths, obs.NewRegistry(), nil); err == nil {
+		if _, err := orchestrator.MergeJournals(out, paths, obs.NewRegistry()); err == nil {
 			t.Fatalf("%s: merge accepted", name)
 		}
 		if _, err := os.Stat(out); !os.IsNotExist(err) {
@@ -463,7 +520,7 @@ func TestMergeJournalsRejectsBadShards(t *testing.T) {
 	if err := run(1, true, nil); err != nil {
 		t.Fatal(err)
 	}
-	st, err := orchestrator.MergeJournals(out, paths, obs.NewRegistry(), nil)
+	st, err := orchestrator.MergeJournals(out, paths, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,49 +539,4 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return fi.Size()
-}
-
-// TestMergeOnRecordOrder pins the onRecord hook the coordinator builds
-// its per-shard analysis partials from: payloads arrive in merge order,
-// tagged with their shard.
-func TestMergeOnRecordOrder(t *testing.T) {
-	const sites = 24
-	dir := t.TempDir()
-	out := filepath.Join(dir, "m.jsonl")
-	specs, err := orchestrator.Partition(sites, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths := make([]string, len(specs))
-	for i, spec := range specs {
-		paths[i] = orchestrator.ShardPath(out, i)
-		sc := orchestrator.ShardCampaign{
-			Spec:       campaign.Spec{World: webworld.Config{Seed: parSeed, NumSites: sites}},
-			Workers:    4,
-			OutputPath: out, CheckpointEvery: parEvery, Shard: spec,
-		}
-		if _, err := sc.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lastShard, count := 0, int64(0)
-	var relayed []byte
-	stats, err := orchestrator.MergeJournals(out, paths, obs.NewRegistry(), func(shard int, payload []byte) error {
-		if shard < lastShard {
-			return fmt.Errorf("shard %d after %d", shard, lastShard)
-		}
-		lastShard = shard
-		count++
-		relayed = durable.AppendFrame(relayed, payload)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != stats.Records {
-		t.Errorf("hook saw %d records, merge reports %d", count, stats.Records)
-	}
-	if !bytes.Equal(relayed, canonical(t, out)) {
-		t.Error("hook payloads do not reassemble the merged journal")
-	}
 }

@@ -131,8 +131,8 @@ func (c ShardCampaign) Run(ctx context.Context) (*ShardResult, error) {
 	path := ShardPath(c.OutputPath, c.Shard.Index)
 	res := &ShardResult{Path: path}
 	// Each shard maintains its own live analysis index beside its
-	// journal; the coordinator merges the per-shard snapshots with
-	// MergeShardIndexes instead of re-folding every shard's records.
+	// journal; the coordinator restores and merges the per-shard
+	// snapshots instead of re-folding every shard's records.
 	liveIn := &analysis.Input{Allowlist: env.Allow, Metrics: reg, FS: c.FS}
 	var journal *dataset.JournalWriter
 	var err error

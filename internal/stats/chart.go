@@ -76,7 +76,7 @@ func (c *BarChart) Render() string {
 		}
 		bar := strings.Repeat("█", n)
 		if frac >= 0 && n > 0 {
-			f := int(frac*float64(n) + 0.5)
+			f := int(float64(frac*float64(n)) + 0.5) // rounded before the add: no FMA
 			if f > n {
 				f = n
 			}

@@ -1,7 +1,9 @@
 package webworld
 
 import (
+	"maps"
 	"math/rand/v2"
+	"slices"
 
 	"github.com/netmeasure/topicscope/internal/adcatalog"
 	"github.com/netmeasure/topicscope/internal/cmpdb"
@@ -227,10 +229,15 @@ func pickIntensity(rng *rand.Rand, weights map[float64]float64) float64 {
 	return 1
 }
 
+// meanAdIntensity is the weighted mean intensity level. It sums over
+// the sorted levels, and the explicit conversion rounds each product
+// before the add, so no map order and no fused multiply-add can move
+// the result.
 func meanAdIntensity(weights map[float64]float64) float64 {
 	var sum, w float64
-	for level, p := range weights {
-		sum += level * p
+	for _, level := range slices.Sorted(maps.Keys(weights)) {
+		p := weights[level]
+		sum += float64(level * p)
 		w += p
 	}
 	if w == 0 {

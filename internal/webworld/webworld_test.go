@@ -399,3 +399,41 @@ func TestGenerateRangeClamps(t *testing.T) {
 		t.Fatal("clamped full range differs from Generate")
 	}
 }
+
+// TestMeanAdIntensityOrderIndependent sums the default intensity weights
+// in every one of their 24 orders, each product rounded before the add:
+// all must give meanAdIntensity's value, so summing over the sorted
+// levels published the same world as any map order did.
+func TestMeanAdIntensityOrderIndependent(t *testing.T) {
+	weights := Config{}.withDefaults().AdIntensityWeights
+	want := meanAdIntensity(weights)
+	var levels []float64
+	for level := range weights {
+		levels = append(levels, level)
+	}
+	var permute func(k int)
+	orders := 0
+	permute = func(k int) {
+		if k == len(levels) {
+			orders++
+			var sum, w float64
+			for _, level := range levels {
+				sum += float64(level * weights[level])
+				w += weights[level]
+			}
+			if got := sum / w; got != want {
+				t.Errorf("levels summed in order %v give %v, meanAdIntensity %v", levels, got, want)
+			}
+			return
+		}
+		for i := k; i < len(levels); i++ {
+			levels[k], levels[i] = levels[i], levels[k]
+			permute(k + 1)
+			levels[k], levels[i] = levels[i], levels[k]
+		}
+	}
+	permute(0)
+	if orders != 24 {
+		t.Fatalf("checked %d orders, want 24", orders)
+	}
+}

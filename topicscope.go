@@ -150,18 +150,20 @@ func (c Campaign) Run(ctx context.Context) (*Results, error) {
 	ccfg.Metrics = reg
 	ccfg.Traces = sink
 	var journal *dataset.JournalWriter
+	var liveSink *analysis.LiveSink
 	if c.OutputPath != "" {
 		// The incremental-analysis fold rides the journal's observer
 		// hook: every appended record updates a live index, and every
 		// committed checkpoint serializes it beside the journal
 		// (<out>.idx), so topics-monitor -live and topics-report -live
 		// render the campaign's tables mid-crawl in O(tail + snapshot).
-		liveIn := &analysis.Input{Allowlist: env.Allow, Metrics: reg}
+		// The campaign's own report reads the same fold.
+		liveSink = analysis.NewLiveSink(c.OutputPath, &analysis.Input{Allowlist: env.Allow, Metrics: reg})
 		var err error
 		journal, err = dataset.CreateJournal(c.OutputPath, dataset.JournalOptions{
 			CheckpointEvery: c.CheckpointEvery,
 			Metrics:         reg,
-			Observer:        analysis.NewLiveSink(c.OutputPath, liveIn),
+			Observer:        liveSink,
 		})
 		if err != nil {
 			return nil, err
@@ -183,13 +185,21 @@ func (c Campaign) Run(ctx context.Context) (*Results, error) {
 		}
 		return nil, fmt.Errorf("topicscope: crawling: %w", err)
 	}
+	var live *analysis.LiveIndex
 	if journal != nil {
 		if err := journal.Close(); err != nil {
 			return nil, fmt.Errorf("topicscope: closing dataset: %w", err)
 		}
+		if live = liveSink.Live(); live == nil {
+			return nil, fmt.Errorf("topicscope: reading back the analysis index of %s", c.OutputPath)
+		}
+	} else {
+		live = analysis.BuildShardIndex(&analysis.Input{Data: res.Data, Allowlist: env.Allow, Metrics: reg})
 	}
-
-	recs := env.Sweep(ctx, cr, crawler.CallerDomains(res.Data))
+	an, err := env.Analyze(ctx, cr, live, res.Data, reg)
+	if err != nil {
+		return nil, fmt.Errorf("topicscope: %w", err)
+	}
 
 	// Campaign-level traces: the attestation sweep (one span per domain,
 	// built from the already-sorted records) and the analysis pass, both
@@ -198,19 +208,11 @@ func (c Campaign) Run(ctx context.Context) (*Results, error) {
 	if start.IsZero() {
 		start = DefaultCrawlStart
 	}
-	attTrace := attestationTrace(recs, reg, start.Add(res.Stats.Elapsed))
+	attTrace := attestationTrace(an.Attestations, reg, start.Add(res.Stats.Elapsed))
 	if err := sink.WriteTrace(attTrace); err != nil {
 		return nil, fmt.Errorf("topicscope: writing attestation trace: %w", err)
 	}
-
-	in := &analysis.Input{
-		Data:         res.Data,
-		Allowlist:    env.Allow,
-		Attestations: dataset.AttestationIndex(recs),
-		Metrics:      reg,
-	}
-	report := analysis.Run(in)
-	if err := sink.WriteTrace(analysis.BuildTrace(in, attTrace.Root.End)); err != nil {
+	if err := sink.WriteTrace(analysis.BuildTrace(an.Input, attTrace.Root.End)); err != nil {
 		return nil, fmt.Errorf("topicscope: writing analysis trace: %w", err)
 	}
 	if traceWriter != nil {
@@ -222,9 +224,9 @@ func (c Campaign) Run(ctx context.Context) (*Results, error) {
 		World:        env.World,
 		Data:         res.Data,
 		Stats:        res.Stats,
-		Attestations: recs,
-		Report:       report,
-		Analysis:     in,
+		Attestations: an.Attestations,
+		Report:       an.Report,
+		Analysis:     an.Input,
 		Metrics:      reg,
 		TraceSummary: summary,
 	}, nil

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -66,6 +68,80 @@ func TestCampaignCancelled(t *testing.T) {
 	cancel()
 	if _, err := (topicscope.Campaign{Seed: 1, Sites: 200}).Run(ctx); err == nil {
 		t.Error("cancelled campaign succeeded")
+	}
+}
+
+// cancelOn is a slog handler that cancels a context when a record with
+// the given message is logged.
+type cancelOn struct {
+	msg    string
+	cancel context.CancelFunc
+}
+
+func (h cancelOn) Enabled(context.Context, slog.Level) bool { return true }
+func (h cancelOn) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h cancelOn) WithGroup(string) slog.Handler            { return h }
+
+func (h cancelOn) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == h.msg {
+		h.cancel()
+	}
+	return nil
+}
+
+// TestCampaignCancelledSweep cancels a campaign after its crawl has
+// finished, before the attestation sweep: every check would come back a
+// fetch error, so Run must return the cancellation rather than a Table 1
+// built from them.
+func TestCampaignCancelledSweep(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		c := topicscope.Campaign{
+			Seed: 3, Sites: 100, Workers: 4,
+			Logger: slog.New(cancelOn{msg: "crawl finished", cancel: cancel}),
+		}
+		if journaled {
+			c.OutputPath = filepath.Join(t.TempDir(), "crawl.jsonl")
+		}
+		res, err := c.Run(ctx)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("journaled=%v: Run returned results=%v, err=%v; want context.Canceled", journaled, res != nil, err)
+		}
+	}
+}
+
+// TestJournaledCampaignFoldsOnce pins the journaled campaign's one fold:
+// the journal's live sink folds every record once, the report reads that
+// fold instead of indexing the collected records again, and it equals
+// the report of the same campaign run without a journal.
+func TestJournaledCampaignFoldsOnce(t *testing.T) {
+	c := topicscope.Campaign{Seed: 3, Sites: 300, Workers: 4}
+	mem, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.OutputPath = filepath.Join(t.TempDir(), "crawl.jsonl")
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := res.Metrics.Snapshot()
+	if got, want := snap.Counter("analysis_live_visits_folded_total"), int64(res.Data.Len()); got != want {
+		t.Errorf("live sink folded %d records, campaign visited %d", got, want)
+	}
+	if got := snap.Counter("analysis_visits_indexed_total"); got != 0 {
+		t.Errorf("journaled campaign indexed %d collected records a second time", got)
+	}
+	var a, b bytes.Buffer
+	if err := mem.Report.WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Report.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("journaled campaign's report differs from the in-memory campaign's")
 	}
 }
 

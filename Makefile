@@ -25,9 +25,10 @@ race:
 # orchestrator's coordinator (concurrent shard supervision + restart
 # accounting), the chaos fault FS + fsck repair path (parallel recrawls
 # through the storage seam), and the shared serving-path state (etld
-# cache, topics engine) — fast enough to ride in `make all`.
+# cache, topics engine), and the browser, whose per-page-load request
+# is reused across fetches — fast enough to ride in `make all`.
 race-core:
-	$(GO) test -race ./internal/analysis/ ./internal/crawler/ ./internal/webserver/ ./internal/obs/ ./internal/durable/ ./internal/dataset/ ./internal/orchestrator/ ./internal/etld/ ./internal/topics/ ./internal/chaos/ ./internal/fsck/
+	$(GO) test -race ./internal/analysis/ ./internal/browser/ ./internal/crawler/ ./internal/webserver/ ./internal/obs/ ./internal/durable/ ./internal/dataset/ ./internal/orchestrator/ ./internal/etld/ ./internal/topics/ ./internal/chaos/ ./internal/fsck/
 
 # The storage-fault matrix: every artifact-level fault class (ENOSPC,
 # EIO blips, short writes, failed fsyncs, torn renames, bit flips)

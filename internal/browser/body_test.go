@@ -48,7 +48,7 @@ func TestBodyCutAtMaxSizeOnBothPaths(t *testing.T) {
 		want := string(data[:min(n, maxBodySize)])
 		for name, wrap := range paths {
 			b := New(Config{Client: &http.Client{Transport: fixedBody{data, wrap}}})
-			_, body, err := b.fetchOnce(context.Background(), &PageVisit{}, u, "", nil, 0)
+			_, body, err := b.fetchOnce(context.Background(), &PageVisit{}, u, nil, "", 0)
 			if err != nil {
 				t.Fatalf("%s, %d bytes: %v", name, n, err)
 			}

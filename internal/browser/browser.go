@@ -204,6 +204,12 @@ type PageVisit struct {
 	visitedSite string         // rank-list domain the visit is attributed to
 	failures    map[string]int // per-host failed fetches, for the breaker
 	trace       *obs.Trace     // stage-clock trace; nil disables tracing
+
+	// The page load's one request, reused by every fetch (see
+	// fetchOnce), and its last X-Topicscope-Time value.
+	req       *http.Request
+	stamp     []string
+	stampedAt time.Time
 }
 
 // SetConsent marks the user as having accepted the privacy policy of the
@@ -272,7 +278,7 @@ func (b *Browser) LoadPageTraced(ctx context.Context, site string, tr *obs.Trace
 	ec := &execCtx{
 		visit:   v,
 		pageURL: finalURL,
-		referer: v.FinalURL,
+		referer: []string{v.FinalURL},
 		origin:  v.PageOrigin,
 		depth:   0,
 	}
@@ -289,7 +295,7 @@ func (b *Browser) navigate(ctx context.Context, v *PageVisit, rawURL string) (*h
 		if err != nil {
 			return nil, "", nil, fmt.Errorf("parsing %q: %w", current, err)
 		}
-		resp, body, err := b.fetch(ctx, v, u, "", nil)
+		resp, body, err := b.fetch(ctx, v, u, nil, "")
 		if err != nil {
 			return nil, "", nil, err
 		}
@@ -313,9 +319,10 @@ func (b *Browser) navigate(ctx context.Context, v *PageVisit, rawURL string) (*h
 // fetch downloads one URL with bounded retries and a per-host circuit
 // breaker, records it as a resource — failed fetches included, so a
 // degraded page still yields a partial record — attaches the consent
-// cookie for consented first-party hosts, the Referer, and any extra
-// headers. It honours Observe-Browsing-Topics responses.
-func (b *Browser) fetch(ctx context.Context, v *PageVisit, u *url.URL, referer string, extra http.Header) (*http.Response, string, error) {
+// cookie for consented first-party hosts, the Referer value when
+// referer is not nil, and the Sec-Browsing-Topics value when topics is
+// not empty. It honours Observe-Browsing-Topics responses.
+func (b *Browser) fetch(ctx context.Context, v *PageVisit, u *url.URL, referer []string, topics string) (*http.Response, string, error) {
 	host := etld.Normalize(u.Host)
 	v.trace.Start("fetch", obs.A("host", host), obs.A("path", u.Path))
 	defer v.trace.End()
@@ -349,7 +356,7 @@ func (b *Browser) fetch(ctx context.Context, v *PageVisit, u *url.URL, referer s
 	)
 	for attempt := 0; ; attempt++ {
 		v.trace.Advance(obs.FetchCost)
-		resp, body, err = b.fetchOnce(ctx, v, u, referer, extra, attempt)
+		resp, body, err = b.fetchOnce(ctx, v, u, referer, topics, attempt)
 		chargeChaosLatency(v.trace, resp, err)
 		if err == nil && resp.StatusCode >= http.StatusInternalServerError {
 			err = &StatusError{Host: host, Status: resp.StatusCode}
@@ -408,24 +415,7 @@ func unwrapErr(err error) error {
 // fetchOnce performs one fetch attempt. The attempt number is stamped
 // on the request so a retry redraws the chaos injector's fault coin
 // deterministically (the virtual clock is fixed within a page load).
-func (b *Browser) fetchOnce(ctx context.Context, v *PageVisit, u *url.URL, referer string, extra http.Header, attempt int) (*http.Response, string, error) {
-	h := make(http.Header, 8)
-	h["User-Agent"] = b.userAgent
-	h[VirtualTimeHeader] = []string{b.cfg.Now().UTC().Format(time.RFC3339Nano)}
-	h[chaos.AttemptHeader] = []string{strconv.Itoa(attempt)}
-	h[VantageHeader] = b.vantage
-	if referer != "" {
-		h["Referer"] = []string{referer}
-	}
-	for k, vals := range extra {
-		for _, val := range vals {
-			h.Add(k, val)
-		}
-	}
-	if b.HasConsent(u.Host) {
-		h["Cookie"] = consentCookie
-	}
-
+func (b *Browser) fetchOnce(ctx context.Context, v *PageVisit, u *url.URL, referer []string, topics string, attempt int) (*http.Response, string, error) {
 	// The request goes straight to the client's transport: the browser
 	// follows redirects itself, so Client.Do's redirect loop, header
 	// clone and deadline timer buy nothing. What the dataset can see of
@@ -441,17 +431,28 @@ func (b *Browser) fetchOnce(ctx context.Context, v *PageVisit, u *url.URL, refer
 		fetchCtx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	req := (&http.Request{
-		Method:     http.MethodGet,
-		URL:        u,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     h,
-		Host:       u.Host,
-	}).WithContext(fetchCtx)
+	req := v.request(fetchCtx)
+	req.URL, req.Host = u, u.Host
+	h := req.Header
+	h["User-Agent"] = b.userAgent
+	h[VirtualTimeHeader] = v.timeStamp(b.cfg.Now())
+	h[chaos.AttemptHeader] = attemptValue(attempt)
+	h[VantageHeader] = b.vantage
+	if referer != nil {
+		h["Referer"] = referer
+	}
+	if topics != "" {
+		h[TopicsRequestHeader] = []string{topics}
+	}
+	if b.HasConsent(u.Host) {
+		h["Cookie"] = consentCookie
+	}
+
 	resp, err := rt.RoundTrip(req)
 	if err != nil {
+		// The transport may still hold a request it failed: the next
+		// fetch builds its own.
+		v.req = nil
 		if fetchCtx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
 			err = &clientTimeoutError{err.Error() + " (Client.Timeout exceeded while awaiting headers)"}
 		}
@@ -466,12 +467,55 @@ func (b *Browser) fetchOnce(ctx context.Context, v *PageVisit, u *url.URL, refer
 	// A caller that received topics and answers Observe-Browsing-Topics
 	// has its page observation recorded (the header flow of the Topics
 	// fetch integration).
-	if b.cfg.Engine != nil &&
-		h.Get(TopicsRequestHeader) != "" &&
+	if b.cfg.Engine != nil && topics != "" &&
 		strings.HasPrefix(resp.Header.Get(ObserveHeader), "?1") {
 		b.cfg.Engine.Observe(v.visitedSite, etld.RegistrableDomain(etld.Normalize(u.Host)))
 	}
 	return resp, body, nil
+}
+
+// request returns the page load's request for the next fetch, with an
+// empty header map. net/http's RoundTripper contract lets a caller
+// reuse a request once the response body is closed, which fetchOnce
+// does before it returns, so one request and one header map serve
+// every fetch of the page load. A fresh pair is built for the first
+// fetch, after a failed RoundTrip, and whenever the fetch context
+// differs (a Client.Timeout deadline is a new context per fetch). A
+// response's Request field is only valid until the next fetch.
+func (v *PageVisit) request(ctx context.Context) *http.Request {
+	if v.req != nil && v.req.Context() == ctx {
+		clear(v.req.Header)
+		return v.req
+	}
+	v.req = (&http.Request{
+		Method:     http.MethodGet,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     make(http.Header, 8),
+	}).WithContext(ctx)
+	return v.req
+}
+
+// timeStamp returns the X-Topicscope-Time value of now, formatted once
+// per distinct virtual time.
+func (v *PageVisit) timeStamp(now time.Time) []string {
+	if v.stamp == nil || !now.Equal(v.stampedAt) {
+		v.stamp = []string{now.UTC().Format(time.RFC3339Nano)}
+		v.stampedAt = now
+	}
+	return v.stamp
+}
+
+// attemptValues are the attempt header values of the default try
+// budget, shared by every request and never mutated.
+var attemptValues = [...][]string{{"0"}, {"1"}, {"2"}}
+
+func attemptValue(attempt int) []string {
+	if attempt < len(attemptValues) {
+		return attemptValues[attempt]
+	}
+	return []string{strconv.Itoa(attempt)}
 }
 
 // readBody returns a response body as a string, cut at maxBodySize

@@ -2,7 +2,6 @@ package browser
 
 import (
 	"context"
-	"net/http"
 	"net/url"
 	"strings"
 
@@ -22,9 +21,9 @@ type execCtx struct {
 	// docURL is this context's document URL (= pageURL in the root
 	// context, the frame URL inside an iframe).
 	docURL *url.URL
-	// referer caches documentURL() rendered as the Referer of the
-	// context's requests; see refererURL.
-	referer string
+	// referer caches documentURL() rendered as the Referer header
+	// value of the context's requests; see refererHeader.
+	referer []string
 	// origin is the browsing context's origin host. Scripts execute with
 	// THIS origin, regardless of where their source file came from —
 	// the Figure 4 rule.
@@ -39,11 +38,13 @@ func (ec *execCtx) documentURL() *url.URL {
 	return ec.pageURL
 }
 
-// refererURL renders the document URL once per context, on the first
-// request that needs it: most frames send none.
-func (ec *execCtx) refererURL() string {
-	if ec.referer == "" {
-		ec.referer = ec.documentURL().String()
+// refererHeader renders the document URL as a Referer header value
+// once per context, on the first request that needs it: most frames
+// send none. The value is shared by every request of the context and
+// never mutated.
+func (ec *execCtx) refererHeader() []string {
+	if ec.referer == nil {
+		ec.referer = []string{ec.documentURL().String()}
 	}
 	return ec.referer
 }
@@ -61,7 +62,7 @@ func (b *Browser) processDocument(ctx context.Context, ec *execCtx, doc *htmlx.N
 				// External script: fetched from its own host but
 				// EXECUTED in the embedding document's context.
 				if u, okURL := ec.resolve(src); okURL {
-					_, body, err := b.fetch(ctx, ec.visit, u, ec.refererURL(), nil)
+					_, body, err := b.fetch(ctx, ec.visit, u, ec.refererHeader(), "")
 					if err == nil {
 						b.execScript(ctx, ec, body)
 					}
@@ -82,7 +83,7 @@ func (b *Browser) processDocument(ctx context.Context, ec *execCtx, doc *htmlx.N
 			}
 			if ref, ok := n.Attr(attr); ok && ref != "" {
 				if u, okURL := ec.resolve(ref); okURL {
-					b.fetch(ctx, ec.visit, u, ec.refererURL(), nil) //nolint:errcheck // best-effort subresource
+					b.fetch(ctx, ec.visit, u, ec.refererHeader(), "") //nolint:errcheck // best-effort subresource
 				}
 			}
 		}
@@ -114,14 +115,12 @@ func (b *Browser) loadFrame(ctx context.Context, parent *execCtx, src string, br
 	parent.visit.trace.Start("frame", obs.A("host", etld.Normalize(u.Host)))
 	parent.visit.trace.Advance(obs.FrameCost)
 	defer parent.visit.trace.End()
-	var extra http.Header
+	var topics string
 	if browsingTopics {
 		caller := etld.RegistrableDomain(u.Host)
-		if hdr, allowed := b.topicsCall(parent.visit, dataset.CallIframe, caller, u.Host); allowed {
-			extra = http.Header{TopicsRequestHeader: []string{hdr}}
-		}
+		topics, _ = b.topicsCall(parent.visit, dataset.CallIframe, caller, u.Host)
 	}
-	_, body, err := b.fetch(ctx, parent.visit, u, parent.refererURL(), extra)
+	_, body, err := b.fetch(ctx, parent.visit, u, parent.refererHeader(), topics)
 	if err != nil {
 		return
 	}

@@ -3,7 +3,6 @@ package browser
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"strconv"
 	"strings"
 
@@ -76,14 +75,12 @@ func (b *Browser) execDirective(ctx context.Context, ec *execCtx, tokens []strin
 		if !ok {
 			return
 		}
-		var extra http.Header
+		var topics string
 		if topicsFlag {
 			caller := etld.RegistrableDomain(u.Host)
-			if hdr, allowed := b.topicsCall(ec.visit, dataset.CallFetch, caller, u.Host); allowed {
-				extra = http.Header{TopicsRequestHeader: []string{hdr}}
-			}
+			topics, _ = b.topicsCall(ec.visit, dataset.CallFetch, caller, u.Host)
 		}
-		b.fetch(ctx, ec.visit, u, ec.refererURL(), extra) //nolint:errcheck // best-effort beacon
+		b.fetch(ctx, ec.visit, u, ec.refererHeader(), topics) //nolint:errcheck // best-effort beacon
 	case "iframe":
 		srcArg, browsingTopics := parseArgs(tokens[1:], "src", "browsingtopics")
 		if srcArg == "" {

@@ -149,6 +149,30 @@ func okTransport(body string) http.RoundTripper {
 	})
 }
 
+// TestInjectorLatencyCopiesSharedHeader hands the injector responses
+// that all share one read-only header map, as the in-process transport
+// does: a delayed response gets the latency header in a map of its own,
+// and the shared map never sees it.
+func TestInjectorLatencyCopiesSharedHeader(t *testing.T) {
+	shared := http.Header{"Content-Type": {"image/gif"}}
+	next := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		return &http.Response{StatusCode: 200, Body: http.NoBody, Header: shared, Request: r}, nil
+	})
+	delayed := NewInjector(Config{Enabled: true, Seed: 1, FlakyRate: 1, LatencyRate: 1, MaxLatency: time.Second}, next)
+	for i := 0; i < 3; i++ {
+		resp, err := delayed.RoundTrip(httptest.NewRequest("GET", fmt.Sprintf("http://host-%d.example/px.gif", i), nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Header.Get(LatencyHeader) == "" || resp.Header.Get("Content-Type") != "image/gif" {
+			t.Errorf("delayed response header %v", resp.Header)
+		}
+	}
+	if len(shared) != 1 {
+		t.Errorf("the injector wrote into the shared header map: %v", shared)
+	}
+}
+
 func TestInjectorFaults(t *testing.T) {
 	in := NewInjector(testConfig(), okTransport("hello world, a longer body"))
 	classes := map[Class]int{}

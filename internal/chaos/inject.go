@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"io"
+	"maps"
 	"net/http"
 	"strconv"
 	"strings"
@@ -47,10 +48,14 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 	case ClassNone:
 		resp, err := in.next.RoundTrip(req)
 		if err == nil && d.Latency > 0 {
-			if resp.Header == nil {
-				resp.Header = make(http.Header)
-			}
-			resp.Header.Set(LatencyHeader, strconv.FormatInt(int64(d.Latency), 10))
+			// The header map may be shared with other responses (the
+			// in-process transport hands out read-only maps), so the
+			// latency goes into a copy. The values stay shared: none
+			// is written.
+			h := make(http.Header, len(resp.Header)+1)
+			maps.Copy(h, resp.Header)
+			h[LatencyHeader] = []string{strconv.FormatInt(int64(d.Latency), 10)}
+			resp.Header = h
 		}
 		return resp, err
 	case ClassHTTP5xx:

@@ -90,11 +90,18 @@ func ByName(name string) (CMP, bool) {
 func ByDomain(domain string) (CMP, bool) {
 	domain = etld.Normalize(domain)
 	for _, c := range catalog {
-		if domain == c.Domain || strings.HasSuffix(domain, "."+c.Domain) {
+		if domainOrSubdomain(domain, c.Domain) {
 			return c, true
 		}
 	}
 	return CMP{}, false
+}
+
+// domainOrSubdomain reports whether host is domain or one of its
+// subdomains, without building "."+domain.
+func domainOrSubdomain(host, domain string) bool {
+	n := len(host) - len(domain)
+	return strings.HasSuffix(host, domain) && (n == 0 || n > 0 && host[n-1] == '.')
 }
 
 // Pick draws a CMP according to market share.

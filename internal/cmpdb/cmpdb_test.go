@@ -61,6 +61,27 @@ func TestByDomain(t *testing.T) {
 	}
 }
 
+// TestByDomainCatalog matches every catalog domain and a subdomain of
+// each, and rejects the lookalike "evil-<domain>", which ends with the
+// domain but not at a label boundary.
+func TestByDomainCatalog(t *testing.T) {
+	for _, c := range All() {
+		for _, tc := range []struct {
+			host string
+			ok   bool
+		}{
+			{c.Domain, true},
+			{"cdn." + c.Domain, true},
+			{"evil-" + c.Domain, false},
+		} {
+			got, ok := ByDomain(tc.host)
+			if ok != tc.ok || (ok && got.Name != c.Name) {
+				t.Errorf("ByDomain(%q) = %q, %v; want %q, %v", tc.host, got.Name, ok, c.Name, tc.ok)
+			}
+		}
+	}
+}
+
 func TestHubSpotAndLiveRampElevated(t *testing.T) {
 	// The paper: P(questionable | HubSpot) ≈ 12%, "twice as big as the
 	// average probability. The same holds true for Liveramp."

@@ -16,7 +16,7 @@ func (s *Server) serveAttestation(w http.ResponseWriter, p *adcatalog.Platform) 
 		return
 	}
 	f := attestation.NewTopicsFile(p.Domain, p.AttestedAt, p.HasEnrollmentSite)
-	w.Header()["Content-Type"] = contentTypeJSON
+	setContentType(w, contentTypeJSON)
 	if err := f.Encode(w); err != nil {
 		http.Error(w, "encoding failure", http.StatusInternalServerError)
 	}

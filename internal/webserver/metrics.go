@@ -48,7 +48,7 @@ const MetricsPath = "/__metrics"
 // Prometheus text exposition format. chaosStats and reg may be nil.
 func MetricsHandler(s *Server, chaosStats *chaos.Stats, reg *obs.Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header()["Content-Type"] = contentTypeProm
+		setContentType(w, contentTypeProm)
 		defer reg.WriteProm(w) //nolint:errcheck // best-effort debug endpoint
 		snap := s.Metrics()
 		fmt.Fprintln(w, "# HELP topicscope_requests_total Requests served, by host kind.")

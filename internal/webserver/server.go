@@ -71,16 +71,32 @@ type Server struct {
 // header map avoids the per-request single-element slice allocation of
 // Header().Set. Shared values must never be mutated; each has len ==
 // cap, so an Add on top of one copies instead of writing into it.
+var observeTopics = []string{"?1"}
+
+// Fixed Content-Types, each a shared read-only header map holding only
+// that header (see setContentType).
 var (
-	contentTypeHTML = []string{"text/html; charset=utf-8"}
-	contentTypeJS   = []string{"application/javascript"}
-	contentTypeCSS  = []string{"text/css"}
-	contentTypeGIF  = []string{"image/gif"}
-	contentTypeText = []string{"text/plain"}
-	contentTypeJSON = []string{"application/json"}
-	contentTypeProm = []string{"text/plain; version=0.0.4; charset=utf-8"}
-	observeTopics   = []string{"?1"}
+	contentTypeHTML = http.Header{"Content-Type": {"text/html; charset=utf-8"}}
+	contentTypeJS   = http.Header{"Content-Type": {"application/javascript"}}
+	contentTypeCSS  = http.Header{"Content-Type": {"text/css"}}
+	contentTypeGIF  = http.Header{"Content-Type": {"image/gif"}}
+	contentTypeText = http.Header{"Content-Type": {"text/plain"}}
+	contentTypeJSON = http.Header{"Content-Type": {"application/json"}}
+	contentTypeProm = http.Header{"Content-Type": {"text/plain; version=0.0.4; charset=utf-8"}}
 )
+
+// setContentType sets a fixed Content-Type. When it is the response's
+// first header, the in-process transport's writer takes the shared
+// read-only map instead of building its own, and clones it should the
+// handler ask for the header map again. Any other ResponseWriter gets
+// the shared value assigned into its own map.
+func setContentType(w http.ResponseWriter, ct http.Header) {
+	if rw, ok := w.(*responseWriter); ok && len(rw.header) == 0 {
+		rw.header, rw.shared = ct, true
+		return
+	}
+	w.Header()["Content-Type"] = ct["Content-Type"]
+}
 
 // Fixed response bodies, shared by every request and never mutated.
 var (
@@ -270,24 +286,24 @@ func (s *Server) serveSite(w http.ResponseWriter, r *http.Request, site *webworl
 	switch {
 	case r.URL.Path == "/":
 		// The landing page is the serving path's hottest endpoint:
-		// assign a shared (never-mutated) header slice and hand over
-		// the cached bytes — Header().Set and fmt.Fprint of a string
-		// each allocate per request.
-		w.Header()["Content-Type"] = contentTypeHTML
+		// set the shared Content-Type and hand over the cached bytes —
+		// Header().Set and fmt.Fprint of a string each allocate per
+		// request.
+		setContentType(w, contentTypeHTML)
 		writeShared(w, s.cachedSitePage(site, host, hasConsent(r), euVisitor(r)))
 	case strings.HasPrefix(r.URL.Path, "/static/"):
 		serveStatic(w, r.URL.Path)
 	case r.URL.Path == "/js/ads-lib.js":
 		// The non-GTM first-party library with a root-context
 		// browsingTopics() call (§4's remaining anomalous sites).
-		w.Header()["Content-Type"] = contentTypeJS
+		setContentType(w, contentTypeJS)
 		if site.OtherLibTopicsCall {
 			writeShared(w, adsLibCalling)
 		} else {
 			writeShared(w, adsLibInert)
 		}
 	case r.URL.Path == "/privacy":
-		w.Header()["Content-Type"] = contentTypeHTML
+		setContentType(w, contentTypeHTML)
 		fmt.Fprintf(w, "<html><body><h1>Privacy policy of %s</h1></body></html>", host)
 	default:
 		http.NotFound(w, r)
@@ -298,19 +314,19 @@ func (s *Server) serveSite(w http.ResponseWriter, r *http.Request, site *webworl
 func (s *Server) servePlatform(w http.ResponseWriter, r *http.Request, p *adcatalog.Platform, host string) {
 	switch r.URL.Path {
 	case "/tag.js":
-		w.Header()["Content-Type"] = contentTypeJS
+		setContentType(w, contentTypeJS)
 		// The tag is rendered fresh for this request and never touched
 		// again, so the writer may keep it.
 		writeShared(w, s.platformTag(p, refererHost(r), s.requestNow(r)))
 	case "/topics-frame.html":
-		w.Header()["Content-Type"] = contentTypeHTML
+		setContentType(w, contentTypeHTML)
 		writeTopicsFrame(w, p)
 	case "/ad.html":
 		// Target of <iframe browsingtopics>: acknowledge observation.
 		if r.Header.Get(TopicsRequestHeader) != "" {
 			w.Header()[ObserveHeader] = observeTopics
 		}
-		w.Header()["Content-Type"] = contentTypeHTML
+		setContentType(w, contentTypeHTML)
 		fmt.Fprintf(w, "<html><body><p>ad by %s</p></body></html>", host)
 	case "/t":
 		// Fetch-call endpoint: topics arrive in the request header; the
@@ -333,10 +349,10 @@ func (s *Server) servePlatform(w http.ResponseWriter, r *http.Request, p *adcata
 func (s *Server) serveCMP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/consent.js":
-		w.Header()["Content-Type"] = contentTypeJS
+		setContentType(w, contentTypeJS)
 		writeShared(w, cmpLoader)
 	case "/banner.css":
-		w.Header()["Content-Type"] = contentTypeCSS
+		setContentType(w, contentTypeCSS)
 		writeShared(w, cmpBannerCSS)
 	default:
 		http.NotFound(w, r)
@@ -352,7 +368,7 @@ func (s *Server) serveGTM(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	w.Header()["Content-Type"] = contentTypeJS
+	setContentType(w, contentTypeJS)
 	site, ok := s.World.SiteByDomain(refererHost(r))
 	if !ok || !site.HasGTM {
 		writeShared(w, gtmInert)
@@ -383,12 +399,12 @@ func (s *Server) serveGTM(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveLongTail(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case strings.HasSuffix(r.URL.Path, ".js"):
-		w.Header()["Content-Type"] = contentTypeJS
+		setContentType(w, contentTypeJS)
 		writeShared(w, longTailWidget)
 	case strings.HasSuffix(r.URL.Path, ".gif"):
 		servePixel(w)
 	default:
-		w.Header()["Content-Type"] = contentTypeText
+		setContentType(w, contentTypeText)
 		writeShared(w, longTailOK)
 	}
 }
@@ -404,10 +420,10 @@ func gtmDoubleCall(domain string) bool {
 func serveStatic(w http.ResponseWriter, path string) {
 	switch {
 	case strings.HasSuffix(path, ".css"):
-		w.Header()["Content-Type"] = contentTypeCSS
+		setContentType(w, contentTypeCSS)
 		writeShared(w, staticCSS)
 	case strings.HasSuffix(path, ".js"):
-		w.Header()["Content-Type"] = contentTypeJS
+		setContentType(w, contentTypeJS)
 		writeShared(w, staticJS)
 	default:
 		servePixel(w)
@@ -416,6 +432,6 @@ func serveStatic(w http.ResponseWriter, path string) {
 
 // servePixel serves a minimal 1x1 transparent GIF.
 func servePixel(w http.ResponseWriter) {
-	w.Header()["Content-Type"] = contentTypeGIF
+	setContentType(w, contentTypeGIF)
 	writeShared(w, pixelGIF)
 }

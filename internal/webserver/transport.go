@@ -78,7 +78,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err := unreachable(t.Server.World, host); err != nil {
 		return nil, err
 	}
-	w := &responseWriter{header: make(http.Header)}
+	w := &responseWriter{}
 	t.Server.ServeHTTP(w, req)
 	return w.response(req), nil
 }
@@ -87,14 +87,30 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 // hands the handler's own header map and body to the *http.Response
 // instead of snapshot-cloning them the way httptest.ResponseRecorder
 // does, while keeping net/http's implicit 200 and its Content-Type
-// sniffing for handlers that set none.
+// sniffing for handlers that set none. The writer is also the
+// response's storage: response returns its resp field, with reader as
+// the body, so one allocation carries the whole exchange.
 type responseWriter struct {
+	resp   http.Response
 	header http.Header
 	body   []byte
+	reader bodyReader
 	status int
+	// shared marks header as a package-level read-only map (see
+	// setContentType); Header clones it before handing it out.
+	shared bool
 }
 
-func (w *responseWriter) Header() http.Header { return w.header }
+// Header returns the response's header map, built on first use. A
+// shared map is cloned first, so a handler never writes into it.
+func (w *responseWriter) Header() http.Header {
+	if w.shared {
+		w.header, w.shared = w.header.Clone(), false
+	} else if w.header == nil {
+		w.header = make(http.Header)
+	}
+	return w.header
+}
 
 func (w *responseWriter) WriteHeader(code int) {
 	if w.status == 0 {
@@ -107,7 +123,7 @@ func (w *responseWriter) WriteHeader(code int) {
 func (w *responseWriter) begin(p []byte) {
 	if w.status == 0 {
 		if _, ok := w.header["Content-Type"]; !ok && w.header.Get("Transfer-Encoding") == "" {
-			w.header.Set("Content-Type", http.DetectContentType(p))
+			w.Header().Set("Content-Type", http.DetectContentType(p))
 		}
 		w.status = http.StatusOK
 	}
@@ -132,8 +148,9 @@ func (w *responseWriter) writeShared(p []byte) {
 	w.body = append(w.body, p...)
 }
 
-// bodyReader is a response body over the writer's bytes: one small
-// allocation where io.NopCloser(bytes.NewReader(b)) costs two.
+// bodyReader is a response body over the writer's bytes, stored in the
+// writer itself where io.NopCloser(bytes.NewReader(b)) costs two
+// allocations.
 type bodyReader struct{ b []byte }
 
 func (r *bodyReader) Read(p []byte) (int, error) {
@@ -173,17 +190,23 @@ func (w *responseWriter) response(req *http.Request) *http.Response {
 	if status == 0 {
 		status = http.StatusOK
 	}
-	return &http.Response{
+	header := w.header
+	if header == nil {
+		header = make(http.Header)
+	}
+	w.reader.b = w.body
+	w.resp = http.Response{
 		Status:        statusLine(status),
 		StatusCode:    status,
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
 		ProtoMinor:    1,
-		Header:        w.header,
-		Body:          &bodyReader{b: w.body},
+		Header:        header,
+		Body:          &w.reader,
 		ContentLength: -1,
 		Request:       req,
 	}
+	return &w.resp
 }
 
 // Client returns an http.Client wired to the server in-process. Redirects

@@ -7,9 +7,11 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/netmeasure/topicscope/internal/adcatalog"
 	"github.com/netmeasure/topicscope/internal/attestation"
+	"github.com/netmeasure/topicscope/internal/chaos"
 	"github.com/netmeasure/topicscope/internal/cmpdb"
 	"github.com/netmeasure/topicscope/internal/webworld"
 )
@@ -183,5 +185,69 @@ func TestWriteSharedKeepsBytes(t *testing.T) {
 	}
 	if spare := shared[:6]; string(spare) != "abc\x00\x00\x00" {
 		t.Errorf("a later Write reached into the shared slice: %q", spare)
+	}
+}
+
+// sameMap reports whether two header maps are the same map.
+func sameMap(a, b http.Header) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+}
+
+// TestChaosLatencyLeavesSharedHeaderAlone sends a pixel request through
+// the chaos injector with every request delayed, then one without it:
+// the delayed response carries the latency header, the undelayed one
+// does not and still shares the read-only Content-Type map, and that
+// map holds only its Content-Type.
+func TestChaosLatencyLeavesSharedHeaderAlone(t *testing.T) {
+	tr := &Transport{Server: New(testWorld, testClock)}
+	delayed := chaos.NewInjector(chaos.Config{
+		Enabled: true, Seed: 1, FlakyRate: 1, LatencyRate: 1, MaxLatency: time.Second,
+	}, tr)
+	const pixel = "http://criteo.com/px.gif"
+
+	resp, err := delayed.RoundTrip(httptest.NewRequest(http.MethodGet, pixel, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Header.Get(chaos.LatencyHeader) == "" {
+		t.Fatalf("delayed pixel response has no %s: %v", chaos.LatencyHeader, resp.Header)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "image/gif" {
+		t.Errorf("delayed pixel Content-Type %q", ct)
+	}
+
+	resp, err = tr.RoundTrip(httptest.NewRequest(http.MethodGet, pixel, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := resp.Header[chaos.LatencyHeader]; ok {
+		t.Errorf("undelayed pixel response carries %s %q", chaos.LatencyHeader, v)
+	}
+	if !sameMap(resp.Header, contentTypeGIF) {
+		t.Error("undelayed pixel response does not share the Content-Type map")
+	}
+	if want := (http.Header{"Content-Type": {"image/gif"}}); !reflect.DeepEqual(contentTypeGIF, want) {
+		t.Errorf("shared map is %v, want %v", contentTypeGIF, want)
+	}
+}
+
+// TestHeaderAfterSharedContentType checks that a handler which adds a
+// header after a shared Content-Type writes into a map of its own.
+func TestHeaderAfterSharedContentType(t *testing.T) {
+	w := &responseWriter{}
+	setContentType(w, contentTypeHTML)
+	w.Header()[ObserveHeader] = observeTopics
+	io.WriteString(w, "<html></html>")
+	resp := w.response(httptest.NewRequest(http.MethodGet, "http://criteo.com/ad.html", nil))
+
+	want := http.Header{"Content-Type": {"text/html; charset=utf-8"}, ObserveHeader: {"?1"}}
+	if !reflect.DeepEqual(resp.Header, want) {
+		t.Errorf("header %v, want %v", resp.Header, want)
+	}
+	if sameMap(resp.Header, contentTypeHTML) {
+		t.Error("the handler wrote into the shared Content-Type map")
+	}
+	if want := (http.Header{"Content-Type": {"text/html; charset=utf-8"}}); !reflect.DeepEqual(contentTypeHTML, want) {
+		t.Errorf("shared map is %v, want %v", contentTypeHTML, want)
 	}
 }
